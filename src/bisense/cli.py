@@ -107,6 +107,7 @@ def _cmd_optimize_point(args) -> int:
             "speb_m2": result.speb,
             "peb_m": result.peb,
             "converged": result.converged,
+            "exit_reason": result.exit_reason,
             "iterations": result.iterations,
             "kkt_residual": result.kkt_residual,
             "optimality_gap_rel": result.optimality_gap_rel,
@@ -125,7 +126,7 @@ def _cmd_optimize_point(args) -> int:
     print(f"peb: {result.peb:.6g} m  (speb {result.speb:.6g} m^2)")
     status = "yes" if result.converged else "NO"
     print(
-        f"converged: {status}  ({result.iterations} iterations, "
+        f"converged: {status}  (exit {result.exit_reason}, {result.iterations} iterations, "
         f"kkt {result.kkt_residual:.2e}, gap {result.optimality_gap_rel:.2e})"
     )
     print(f"power share toward target: {result.power_share_toward_target:.4f}")

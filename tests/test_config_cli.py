@@ -249,6 +249,22 @@ def test_non_convergence_exits_4(tmp_path, capsys):
     assert report["result"]["converged"] is False
 
 
+def test_optimize_point_reports_exit_reason(tmp_path, capsys):
+    code, out, _ = run_cli("optimize-point", "--out", str(tmp_path / "ok"), capsys=capsys)
+    reason = json.loads((tmp_path / "ok" / "optimize_point.json").read_text())["result"]["exit_reason"]
+    assert code == EXIT_OK and reason in ("gap", "kkt")
+    assert f"converged: yes  (exit {reason}," in out
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("solver:\n  max_iters: 1\n")
+    code, out, _ = run_cli(
+        "optimize-point", "--config", str(cfg), "--out", str(tmp_path / "capped"), capsys=capsys
+    )
+    report = json.loads((tmp_path / "capped" / "optimize_point.json").read_text())
+    assert code == EXIT_NO_CONVERGENCE
+    assert report["result"]["exit_reason"] == "max_iters"
+    assert "converged: NO  (exit max_iters, 1 iterations," in out
+
+
 def small_map_config(tmp_path, **solver):
     cfg = tmp_path / "map.yaml"
     doc = {
