@@ -3,12 +3,12 @@
 
 The core objects are Scenario (geometry, arrays, carrier plan, powers),
 BeamCovariance (per-subcarrier 2x2 transmit covariance blocks in the
-steering/derivative basis), the information-matrix routes in fisher, and
+steering/derivative basis), the information matrix and bounds in fisher, and
 optimize(), which minimizes the squared position error bound over the
 feasible covariance set.
 """
 
-from .array_manifold import ArrayModel, SteeringPair, build_uca, narrowband_steering, steering
+from .array_manifold import ArrayModel, SteeringPair, build_uca, steering
 from .beamform_opt import (
     OptOptions,
     OptResult,
@@ -105,7 +105,6 @@ __all__ = [
     "fim_xform",
     "load_config",
     "monopulse_candidate",
-    "narrowband_steering",
     "optimize",
     "peb",
     "precoder",

@@ -15,6 +15,8 @@ import numpy as np
 from .errors import InvalidArray
 from .geometry import SPEED_OF_LIGHT, polar_units
 
+CENTROID_TOL = 1e-9  # largest centroid offset accepted, relative to the array radius
+
 
 @dataclass(frozen=True, eq=False)
 class ArrayModel:
@@ -23,8 +25,14 @@ class ArrayModel:
     Attributes:
         element_positions: (n, 2) offsets from the phase center, m. The
             centroid must be (numerically) zero; this is what makes steering
-            vectors orthogonal to their angle derivatives.
+            vectors orthogonal to their angle derivatives, which every closed
+            form of the information matrix assumes.
         orientation: array rotation in the global frame, rad.
+
+    Raises:
+        InvalidArray: positions not (n, 2) and finite, or a centroid farther
+            than CENTROID_TOL times the largest element radius from the
+            phase center.
     """
 
     element_positions: np.ndarray
@@ -36,6 +44,13 @@ class ArrayModel:
             raise InvalidArray(f"element_positions must be (n, 2), got {pos.shape}")
         if not np.all(np.isfinite(pos)):
             raise InvalidArray("element_positions contain non-finite values")
+        offset = float(np.hypot(*pos.mean(axis=0)))
+        radius = float(np.hypot(pos[:, 0], pos[:, 1]).max())
+        if offset > CENTROID_TOL * radius:
+            raise InvalidArray(
+                f"element positions are not centered: centroid {offset:.3e} m "
+                f"from the phase center (largest radius {radius:.3e} m)"
+            )
         object.__setattr__(self, "element_positions", pos)
         pos.flags.writeable = False
 
@@ -110,7 +125,3 @@ def steering(array: ArrayModel, global_angle: float, omega_total: float) -> Stee
         norm_a_dot=float(np.linalg.norm(a_dot)),
     )
 
-
-def narrowband_steering(array: ArrayModel, global_angle: float, omega_carrier: float) -> SteeringPair:
-    """Steering pair at the carrier only, shared by every subcarrier."""
-    return steering(array, global_angle, omega_carrier)

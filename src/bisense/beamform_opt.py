@@ -24,14 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleScenario, InvalidAlpha, SingularEFIM
-from .fisher import (
-    BeamCovariance,
-    Scenario,
-    _manifolds,
-    _trace_inverse_2x2,
-    check_beam_covariance,
-)
-from .geometry import derive_geometry
+from .fisher import BeamCovariance, Scenario, _Kernel, check_beam_covariance
 
 
 @dataclass(frozen=True)
@@ -84,186 +77,6 @@ class OptResult:
     rank_profile: tuple[int, ...]
     power_share_toward_target: float
     exit_reason: str
-
-
-# -----------------------------------------------------------------------------
-# fast objective/gradient kernel
-
-
-def _trace_inverse_guarded(A: np.ndarray) -> float:
-    """tr(A^{-1}) of a symmetric 2x2; +inf when A fails the condition guard."""
-    value, singular = _trace_inverse_2x2(A)
-    return float("inf") if singular else value
-
-
-@dataclass(eq=False)
-class _Kernel:
-    """Scenario constants folded for repeated objective/gradient evaluation."""
-
-    omegas: np.ndarray  # (P,)
-    nda_t: np.ndarray  # (P,) transmit derivative norms
-    nda_r: np.ndarray  # (P,) receive derivative norms
-    c1: float  # kappa |g|^2 n_rx n_tx
-    c2: float  # kappa |g|^2 n_rx sqrt(n_tx)
-    c3: float  # kappa |g|^2 n_rx
-    c4: float  # kappa |g|^2 n_tx
-    jac: np.ndarray  # (2,3) position Jacobian
-    budget: float
-    block_dim: int
-
-    @staticmethod
-    def build(scenario: Scenario) -> "_Kernel":
-        geom = derive_geometry(scenario.p_t, scenario.p_r, scenario.p_s)
-        tx, rx = _manifolds(scenario, geom)
-        kappa = 2.0 / scenario.noise_power
-        mag2 = abs(scenario.gain) ** 2
-        return _Kernel(
-            omegas=np.array(scenario.subcarrier_offsets, dtype=float),
-            nda_t=np.array([sp.norm_a_dot for sp in tx]),
-            nda_r=np.array([sp.norm_a_dot for sp in rx]),
-            c1=kappa * mag2 * scenario.n_rx * scenario.n_tx,
-            c2=kappa * mag2 * scenario.n_rx * np.sqrt(scenario.n_tx),
-            c3=kappa * mag2 * scenario.n_rx,
-            c4=kappa * mag2 * scenario.n_tx,
-            jac=geom.jacobian,
-            budget=scenario.power_budget,
-            block_dim=scenario.block_dim,
-        )
-
-    def _aggregates(self, blocks: np.ndarray):
-        b11 = blocks[:, 0, 0].real
-        if self.block_dim == 2:
-            b22 = blocks[:, 1, 1].real
-            b21 = blocks[:, 1, 0]
-        else:
-            b22 = np.zeros_like(b11)
-            b21 = np.zeros_like(b11, dtype=complex)
-        return (
-            float(b11.sum()),  # s0
-            float((self.omegas * b11).sum()),  # s1
-            float((self.omegas**2 * b11).sum()),  # s2
-            float((self.nda_r**2 * b11).sum()),  # s3
-            float((self.nda_t**2 * b22).sum()),  # t0
-            float((self.nda_t * b21.real).sum()),  # d_re
-            float((self.nda_t * b21.imag).sum()),  # d_im
-            float((self.omegas * self.nda_t * b21.imag).sum()),  # cw
-        )
-
-    def _efim(self, s0, s1, s2, s3, t0, d_re, d_im, cw) -> np.ndarray:
-        E = np.zeros((3, 3))
-        if s0 > 0.0:
-            E[0, 0] = self.c1 * (s2 - s1 * s1 / s0)
-            E[0, 1] = E[1, 0] = self.c2 * (s1 * d_im / s0 - cw)
-            E[1, 1] = self.c3 * (t0 - (d_re * d_re + d_im * d_im) / s0)
-        E[2, 2] = self.c4 * s3
-        return E
-
-    def position_fim(self, blocks: np.ndarray) -> np.ndarray:
-        E = self._efim(*self._aggregates(blocks))
-        return self.jac @ E @ self.jac.T
-
-    def speb(self, blocks: np.ndarray) -> float:
-        """Objective value; +inf when the position information fails the
-        condition guard (treated as out of domain by the line search)."""
-        return _trace_inverse_guarded(self.position_fim(blocks))
-
-    def _speb_from_aggregates(self, z: np.ndarray) -> float:
-        return _trace_inverse_guarded(self.jac @ self._efim(*z) @ self.jac.T)
-
-    def _aggregate_gradient(self, z: np.ndarray) -> np.ndarray:
-        """Partial derivatives of the objective in the aggregates.
-
-        z has shape (..., 8) in the order of _aggregates; the result has the
-        same shape. Every operation is analytic, so complex z gives exact
-        second derivatives by complex-step differentiation. No domain checks.
-        """
-        s0, s1, s2, s3, t0, d_re, d_im, cw = np.moveaxis(np.asarray(z), -1, 0)
-        E = np.zeros(np.shape(s0) + (3, 3), dtype=np.result_type(s0, float))
-        E[..., 0, 0] = self.c1 * (s2 - s1 * s1 / s0)
-        E[..., 0, 1] = E[..., 1, 0] = self.c2 * (s1 * d_im / s0 - cw)
-        E[..., 1, 1] = self.c3 * (t0 - (d_re * d_re + d_im * d_im) / s0)
-        E[..., 2, 2] = self.c4 * s3
-        A = self.jac @ E @ self.jac.T
-        a, b, d = A[..., 0, 0], A[..., 0, 1], A[..., 1, 1]
-        inv = np.stack([np.stack([d, -b], -1), np.stack([-b, a], -1)], -2)
-        inv /= (a * d - b * b)[..., None, None]
-        p3 = self.jac.T @ (inv @ inv) @ self.jac  # 3x3 sensitivity carrier
-
-        g_e11 = -p3[..., 0, 0]
-        g_e12 = -2.0 * p3[..., 0, 1]
-        g_e22 = -p3[..., 1, 1]
-        g_e33 = -p3[..., 2, 2]
-
-        g_s0 = (
-            g_e11 * self.c1 * s1 * s1 / s0**2
-            - g_e12 * self.c2 * s1 * d_im / s0**2
-            + g_e22 * self.c3 * (d_re * d_re + d_im * d_im) / s0**2
-        )
-        g_s1 = -2.0 * g_e11 * self.c1 * s1 / s0 + g_e12 * self.c2 * d_im / s0
-        g_s2 = g_e11 * self.c1
-        g_s3 = g_e33 * self.c4
-        g_t0 = g_e22 * self.c3
-        g_dre = -2.0 * g_e22 * self.c3 * d_re / s0
-        g_dim = g_e12 * self.c2 * s1 / s0 - 2.0 * g_e22 * self.c3 * d_im / s0
-        g_cw = -g_e12 * self.c2
-        return np.stack([g_s0, g_s1, g_s2, g_s3, g_t0, g_dre, g_dim, g_cw], axis=-1)
-
-    def _aggregate_hessian(self, z: np.ndarray, scale: np.ndarray):
-        """(gradient, 8x8 Hessian) in the aggregates at real z.
-
-        The Hessian comes column by column from complex steps i h_k e_k with
-        h_k = 1e-20 scale_k; no difference is taken, so it is exact to
-        rounding.
-        """
-        h = 1e-20 * scale
-        probe = np.tile(np.asarray(z, dtype=complex), (9, 1))
-        probe[1:] += 1j * np.diag(h)
-        out = self._aggregate_gradient(probe)
-        hess = (out[1:].imag / h[:, None]).T
-        return out[0].real, 0.5 * (hess + hess.T)
-
-    def _coefficients(self) -> np.ndarray:
-        """(P, 8, k) coefficients of the aggregates in each block's real
-        coordinates (b11, b22, Re b21, Im b21); k = 1 (b11 only) when
-        block_dim is 1."""
-        p_count = len(self.omegas)
-        coef = np.zeros((p_count, 8, 4 if self.block_dim == 2 else 1))
-        coef[:, 0, 0] = 1.0
-        coef[:, 1, 0] = self.omegas
-        coef[:, 2, 0] = self.omegas**2
-        coef[:, 3, 0] = self.nda_r**2
-        if self.block_dim == 2:
-            coef[:, 4, 1] = self.nda_t**2
-            coef[:, 5, 2] = self.nda_t
-            coef[:, 6, 3] = self.nda_t
-            coef[:, 7, 3] = self.omegas * self.nda_t
-        return coef
-
-    def gradient(self, blocks: np.ndarray) -> np.ndarray:
-        """Hermitian per-block gradients G_p of the objective.
-
-        Convention: d/dt speb(B + t Delta) at t=0 equals
-        sum_p Re tr(G_p^H Delta_p).
-        """
-        z = self._aggregates(blocks)
-        if z[0] <= 0.0:
-            raise SingularEFIM("gradient undefined without steering-direction power")
-        A = self.jac @ self._efim(*z) @ self.jac.T
-        det = A[0, 0] * A[1, 1] - A[0, 1] ** 2
-        if det <= 0.0 or not np.isfinite(det):
-            raise SingularEFIM("gradient undefined at a singular point")
-        g_s0, g_s1, g_s2, g_s3, g_t0, g_dre, g_dim, g_cw = self._aggregate_gradient(z)
-
-        p_count = len(self.omegas)
-        g_b11 = g_s0 + g_s1 * self.omegas + g_s2 * self.omegas**2 + g_s3 * self.nda_r**2
-        grads = np.zeros((p_count, self.block_dim, self.block_dim), dtype=complex)
-        grads[:, 0, 0] = g_b11
-        if self.block_dim == 2:
-            grads[:, 1, 1] = g_t0 * self.nda_t**2
-            cross = 0.5 * (g_dre + 1j * (g_dim + g_cw * self.omegas)) * self.nda_t
-            grads[:, 1, 0] = cross
-            grads[:, 0, 1] = np.conj(cross)
-        return grads
 
 
 # -----------------------------------------------------------------------------

@@ -17,11 +17,13 @@ constrained to the two-column subspace spanned by conj(a_t) and
 conj(a_dot_t); the 2x2 coefficient matrices B_p are the beam covariances
 the optimizer works on.
 
-Three independent constructions of the same information matrix live here:
-``fim_entrywise`` (closed-form entries from the signal covariances),
-``fim_xform`` (quadratic form in per-subcarrier structure matrices), and
-``fim_from_derivatives`` (raw derivative outer products over explicit pilot
-vectors). Tests hold them to mutual agreement.
+The blocks enter the information matrix only through eight linear
+aggregates, and the matrix is a fixed linear map of them. ``_Kernel`` holds
+that one closed form: ``fim_xform`` returns its 5x5 matrix, ``fim_entrywise``
+the matrix with its effective forms and bounds, and the solver its effective
+3x3 form. ``fim_from_derivatives`` (raw derivative outer products over
+explicit pilot vectors) never touches the closed form and is the oracle that
+tests and ``bisense validate`` check it against.
 """
 
 from __future__ import annotations
@@ -214,39 +216,41 @@ def check_beam_covariance(bc: BeamCovariance, scenario: Scenario) -> None:
 # manifold evaluation and precoding
 
 
+def _omega_total(scenario: Scenario, offset: float) -> float:
+    """Radian frequency the steering of a subcarrier is evaluated at."""
+    return scenario.omega_carrier + (0.0 if scenario.narrowband else offset)
+
+
 def _manifolds(
     scenario: Scenario, geom: GeometryState
 ) -> tuple[list[SteeringPair], list[SteeringPair]]:
     """Per-subcarrier steering pairs at the two terminals."""
     tx, rx = [], []
     for w in scenario.subcarrier_offsets:
-        w_total = scenario.omega_carrier + (0.0 if scenario.narrowband else w)
+        w_total = _omega_total(scenario, w)
         tx.append(steering(scenario.tx_array, geom.theta_t, w_total))
         rx.append(steering(scenario.rx_array, geom.theta_r, w_total))
     return tx, rx
 
 
-def _precoder_from_pair(pair: SteeringPair, block_dim: int) -> np.ndarray:
-    """Orthonormal beam basis [conj(a)/|a|, conj(a_dot)/|a_dot|].
+def precoder(scenario: Scenario, subcarrier_index: int) -> np.ndarray:
+    """Beam basis matrix F_p for one subcarrier; R_s[p] = F_p B_p F_p^H.
 
-    The derivative column is dropped for single-element transmitters and
-    zeroed in the measure-zero case of a vanishing derivative norm, so that
-    every information route sees the same effective covariance.
+    F_p = [conj(a)/|a|, conj(a_dot)/|a_dot|] is orthonormal. The derivative
+    column is dropped for single-element transmitters and zeroed in the
+    measure-zero case of a vanishing derivative norm, where the closed form
+    gives that direction no information either.
     """
+    geom = derive_geometry(scenario.p_t, scenario.p_r, scenario.p_s)
+    w_total = _omega_total(scenario, scenario.subcarrier_offsets[subcarrier_index])
+    pair = steering(scenario.tx_array, geom.theta_t, w_total)
     cols = [pair.a.conj() / pair.norm_a]
-    if block_dim == 2:
+    if scenario.block_dim == 2:
         if pair.norm_a_dot > 0.0:
             cols.append(pair.a_dot.conj() / pair.norm_a_dot)
         else:
             cols.append(np.zeros_like(pair.a))
     return np.column_stack(cols)
-
-
-def precoder(scenario: Scenario, subcarrier_index: int) -> np.ndarray:
-    """Beam basis matrix F_p for one subcarrier; R_s[p] = F_p B_p F_p^H."""
-    geom = derive_geometry(scenario.p_t, scenario.p_r, scenario.p_s)
-    tx, _ = _manifolds(scenario, geom)
-    return _precoder_from_pair(tx[subcarrier_index], scenario.block_dim)
 
 
 # -----------------------------------------------------------------------------
@@ -347,52 +351,252 @@ def _known_gain_reduce(
     return J22 - np.outer(v, v) / float(u @ J11 @ u)
 
 
-def fim_entrywise(scenario: Scenario, bc: BeamCovariance) -> FisherBundle:
-    """Closed-form information matrix from per-subcarrier signal covariances.
+# -----------------------------------------------------------------------------
+# the closed form
 
-    Builds R_s[p] = F_p B_p F_p^H explicitly and evaluates the nine nonzero
-    entries through the quadratic forms a^T R a*, a_dot^T R a_dot*,
-    a_dot^T R a*. Returns the full bundle including both effective forms and
-    SPEB values (NaN + flag when the position information fails the
-    condition guard).
+
+def _trace_inverse_guarded(A: np.ndarray) -> float:
+    """tr(A^{-1}) of a symmetric 2x2; +inf when A fails the condition guard."""
+    value, singular = _trace_inverse_2x2(A)
+    return float("inf") if singular else value
+
+
+@dataclass(eq=False)
+class _Kernel:
+    """Scenario constants of the closed-form information matrix.
+
+    The blocks enter the information matrix only through the eight linear
+    aggregates z = (s0, s1, s2, s3, t0, d_re, d_im, cw) of _aggregates. The
+    5x5 matrix is a fixed linear map of z (fim), and the effective 3x3 form
+    and its position information are closed forms in z (_efim), so repeated
+    objective and gradient evaluations never rebuild steering vectors.
     """
+
+    omegas: np.ndarray  # (P,)
+    nda_t: np.ndarray  # (P,) transmit derivative norms
+    nda_r: np.ndarray  # (P,) receive derivative norms
+    c0: float  # kappa n_rx n_tx
+    r0: float  # kappa n_rx sqrt(n_tx)
+    c1: float  # kappa |g|^2 n_rx n_tx
+    c2: float  # kappa |g|^2 n_rx sqrt(n_tx)
+    c3: float  # kappa |g|^2 n_rx
+    c4: float  # kappa |g|^2 n_tx
+    gain: complex
+    jac: np.ndarray  # (2,3) position Jacobian
+    budget: float
+    block_dim: int
+
+    @staticmethod
+    def build(scenario: Scenario) -> "_Kernel":
+        geom = derive_geometry(scenario.p_t, scenario.p_r, scenario.p_s)
+        tx, rx = _manifolds(scenario, geom)
+        kappa = 2.0 / scenario.noise_power
+        mag2 = abs(scenario.gain) ** 2
+        return _Kernel(
+            omegas=np.array(scenario.subcarrier_offsets, dtype=float),
+            nda_t=np.array([sp.norm_a_dot for sp in tx]),
+            nda_r=np.array([sp.norm_a_dot for sp in rx]),
+            c0=kappa * scenario.n_rx * scenario.n_tx,
+            r0=kappa * scenario.n_rx * np.sqrt(scenario.n_tx),
+            c1=kappa * mag2 * scenario.n_rx * scenario.n_tx,
+            c2=kappa * mag2 * scenario.n_rx * np.sqrt(scenario.n_tx),
+            c3=kappa * mag2 * scenario.n_rx,
+            c4=kappa * mag2 * scenario.n_tx,
+            gain=complex(scenario.gain),
+            jac=geom.jacobian,
+            budget=scenario.power_budget,
+            block_dim=scenario.block_dim,
+        )
+
+    def _aggregates(self, blocks: np.ndarray):
+        b11 = blocks[:, 0, 0].real
+        if self.block_dim == 2:
+            b22 = blocks[:, 1, 1].real
+            b21 = blocks[:, 1, 0]
+        else:
+            b22 = np.zeros_like(b11)
+            b21 = np.zeros_like(b11, dtype=complex)
+        return (
+            float(b11.sum()),  # s0
+            float((self.omegas * b11).sum()),  # s1
+            float((self.omegas**2 * b11).sum()),  # s2
+            float((self.nda_r**2 * b11).sum()),  # s3
+            float((self.nda_t**2 * b22).sum()),  # t0
+            float((self.nda_t * b21.real).sum()),  # d_re
+            float((self.nda_t * b21.imag).sum()),  # d_im
+            float((self.omegas * self.nda_t * b21.imag).sum()),  # cw
+        )
+
+    def fim(self, z) -> np.ndarray:
+        """5x5 information matrix over [gain_re, gain_im, delay, aod, aoa] at
+        the aggregates z. With the blocks in the steering/derivative basis,
+        a^T conj(a_dot) = 0 leaves nine nonzero entries, each linear in z."""
+        s0, s1, s2, s3, t0, d_re, d_im, cw = z
+        g = self.gain
+        d = g * complex(d_re, d_im)
+        j11 = self.c0 * s0
+        j13 = self.c0 * g.imag * s1
+        j23 = -self.c0 * g.real * s1
+        j14 = self.r0 * d.real
+        j24 = self.r0 * d.imag
+        j34 = -self.c2 * cw
+        return np.array(
+            [
+                [j11, 0.0, j13, j14, 0.0],
+                [0.0, j11, j23, j24, 0.0],
+                [j13, j23, self.c1 * s2, j34, 0.0],
+                [j14, j24, j34, self.c3 * t0, 0.0],
+                [0.0, 0.0, 0.0, 0.0, self.c4 * s3],
+            ]
+        )
+
+    def _efim(self, z) -> np.ndarray:
+        """Effective 3x3 information, shape (3, 3) or (n, 3, 3), at
+        aggregates z of shape (8,) or (n, 8): the Schur complement of
+        fim(z)'s gain block, in closed form. Every operation is analytic, so
+        complex z is fine. No domain checks: s0 must be nonzero."""
+        z = np.asarray(z)
+        s0, s1, s2, s3, t0, d_re, d_im, cw = z.T
+        E = np.zeros(z.shape[:-1] + (3, 3), z.dtype)
+        E[..., 0, 0] = self.c1 * (s2 - s1 * s1 / s0)
+        E[..., 0, 1] = E[..., 1, 0] = self.c2 * (s1 * d_im / s0 - cw)
+        E[..., 1, 1] = self.c3 * (t0 - (d_re * d_re + d_im * d_im) / s0)
+        E[..., 2, 2] = self.c4 * s3
+        return E
+
+    def _position_fim(self, z) -> np.ndarray:
+        return self.jac @ self._efim(z) @ self.jac.T
+
+    def position_fim(self, blocks: np.ndarray) -> np.ndarray:
+        return self._position_fim(self._aggregates(blocks))
+
+    def speb(self, blocks: np.ndarray) -> float:
+        """Objective value; +inf when the position information fails the
+        condition guard (treated as out of domain by the line search)."""
+        return self._speb_from_aggregates(self._aggregates(blocks))
+
+    def _speb_from_aggregates(self, z) -> float:
+        # without steering-direction power s1 = s2 = s3 = 0: only the
+        # departure angle is informed, so the position information is singular
+        if not z[0] > 0.0:
+            return float("inf")
+        return _trace_inverse_guarded(self._position_fim(z))
+
+    def _aggregate_gradient(self, z: np.ndarray) -> np.ndarray:
+        """Partial derivatives of the objective in the aggregates.
+
+        z has shape (8,) or (n, 8) in the order of _aggregates; the result
+        has the same shape. Every operation is analytic, so complex z gives
+        exact second derivatives by complex-step differentiation. No domain
+        checks.
+        """
+        s0, s1, s2, s3, t0, d_re, d_im, cw = np.asarray(z).T
+        A = self._position_fim(z)
+        a, b, d = A[..., 0, 0], A[..., 0, 1], A[..., 1, 1]
+        inv = np.stack([np.stack([d, -b], -1), np.stack([-b, a], -1)], -2)
+        inv /= (a * d - b * b)[..., None, None]
+        p3 = self.jac.T @ (inv @ inv) @ self.jac  # 3x3 sensitivity carrier
+
+        g_e11 = -p3[..., 0, 0]
+        g_e12 = -2.0 * p3[..., 0, 1]
+        g_e22 = -p3[..., 1, 1]
+        g_e33 = -p3[..., 2, 2]
+
+        g_s0 = (
+            g_e11 * self.c1 * s1 * s1 / s0**2
+            - g_e12 * self.c2 * s1 * d_im / s0**2
+            + g_e22 * self.c3 * (d_re * d_re + d_im * d_im) / s0**2
+        )
+        g_s1 = -2.0 * g_e11 * self.c1 * s1 / s0 + g_e12 * self.c2 * d_im / s0
+        g_s2 = g_e11 * self.c1
+        g_s3 = g_e33 * self.c4
+        g_t0 = g_e22 * self.c3
+        g_dre = -2.0 * g_e22 * self.c3 * d_re / s0
+        g_dim = g_e12 * self.c2 * s1 / s0 - 2.0 * g_e22 * self.c3 * d_im / s0
+        g_cw = -g_e12 * self.c2
+        return np.stack([g_s0, g_s1, g_s2, g_s3, g_t0, g_dre, g_dim, g_cw], axis=-1)
+
+    def _aggregate_hessian(self, z: np.ndarray, scale: np.ndarray):
+        """(gradient, 8x8 Hessian) in the aggregates at real z.
+
+        The Hessian comes column by column from complex steps i h_k e_k with
+        h_k = 1e-20 scale_k; no difference is taken, so it is exact to
+        rounding.
+        """
+        h = 1e-20 * scale
+        probe = np.tile(np.asarray(z, dtype=complex), (9, 1))
+        probe[1:] += 1j * np.diag(h)
+        out = self._aggregate_gradient(probe)
+        hess = (out[1:].imag / h[:, None]).T
+        return out[0].real, 0.5 * (hess + hess.T)
+
+    def _coefficients(self) -> np.ndarray:
+        """(P, 8, k) coefficients of the aggregates in each block's real
+        coordinates (b11, b22, Re b21, Im b21); k = 1 (b11 only) when
+        block_dim is 1."""
+        p_count = len(self.omegas)
+        coef = np.zeros((p_count, 8, 4 if self.block_dim == 2 else 1))
+        coef[:, 0, 0] = 1.0
+        coef[:, 1, 0] = self.omegas
+        coef[:, 2, 0] = self.omegas**2
+        coef[:, 3, 0] = self.nda_r**2
+        if self.block_dim == 2:
+            coef[:, 4, 1] = self.nda_t**2
+            coef[:, 5, 2] = self.nda_t
+            coef[:, 6, 3] = self.nda_t
+            coef[:, 7, 3] = self.omegas * self.nda_t
+        return coef
+
+    def gradient(self, blocks: np.ndarray) -> np.ndarray:
+        """Hermitian per-block gradients G_p of the objective.
+
+        Convention: d/dt speb(B + t Delta) at t=0 equals
+        sum_p Re tr(G_p^H Delta_p).
+        """
+        z = self._aggregates(blocks)
+        if z[0] <= 0.0:
+            raise SingularEFIM("gradient undefined without steering-direction power")
+        A = self._position_fim(z)
+        det = A[0, 0] * A[1, 1] - A[0, 1] ** 2
+        if det <= 0.0 or not np.isfinite(det):
+            raise SingularEFIM("gradient undefined at a singular point")
+        g_s0, g_s1, g_s2, g_s3, g_t0, g_dre, g_dim, g_cw = self._aggregate_gradient(z)
+
+        p_count = len(self.omegas)
+        g_b11 = g_s0 + g_s1 * self.omegas + g_s2 * self.omegas**2 + g_s3 * self.nda_r**2
+        grads = np.zeros((p_count, self.block_dim, self.block_dim), dtype=complex)
+        grads[:, 0, 0] = g_b11
+        if self.block_dim == 2:
+            grads[:, 1, 1] = g_t0 * self.nda_t**2
+            cross = 0.5 * (g_dre + 1j * (g_dim + g_cw * self.omegas)) * self.nda_t
+            grads[:, 1, 0] = cross
+            grads[:, 0, 1] = np.conj(cross)
+        return grads
+
+
+def _closed_form(scenario: Scenario, bc: BeamCovariance) -> tuple[np.ndarray, np.ndarray]:
+    """(5x5 information matrix, 2x3 position Jacobian) from one geometry."""
     check_beam_covariance(bc, scenario)
-    geom = derive_geometry(scenario.p_t, scenario.p_r, scenario.p_s)
-    tx, rx = _manifolds(scenario, geom)
-    kappa = 2.0 / scenario.noise_power
-    n_rx = scenario.n_rx
-    g = complex(scenario.gain)
-    mag2 = g.real**2 + g.imag**2
+    kernel = _Kernel.build(scenario)
+    return kernel.fim(kernel._aggregates(bc.blocks)), kernel.jac
 
-    j11 = j13 = j23 = j14 = j24 = j33 = j34 = j44 = j55 = 0.0
-    for p, w in enumerate(scenario.subcarrier_offsets):
-        f_mat = _precoder_from_pair(tx[p], scenario.block_dim)
-        r_s = f_mat @ bc.blocks[p] @ f_mat.conj().T
-        a = tx[p].a
-        a_dot = tx[p].a_dot
-        q_aa = float((a @ r_s @ a.conj()).real)
-        q_dd = float((a_dot @ r_s @ a_dot.conj()).real)
-        q_da = complex(a_dot @ r_s @ a.conj())
-        j11 += kappa * n_rx * q_aa
-        j13 += kappa * n_rx * g.imag * w * q_aa
-        j23 += -kappa * n_rx * g.real * w * q_aa
-        j14 += kappa * n_rx * (g * q_da).real
-        j24 += kappa * n_rx * (g * q_da).imag
-        j33 += kappa * n_rx * mag2 * w * w * q_aa
-        j34 += -kappa * n_rx * mag2 * w * q_da.imag
-        j44 += kappa * n_rx * mag2 * q_dd
-        j55 += kappa * mag2 * rx[p].norm_a_dot**2 * q_aa
 
-    J = np.array(
-        [
-            [j11, 0.0, j13, j14, 0.0],
-            [0.0, j11, j23, j24, 0.0],
-            [j13, j23, j33, j34, 0.0],
-            [j14, j24, j34, j44, 0.0],
-            [0.0, 0.0, 0.0, 0.0, j55],
-        ]
-    )
-    return bundle_from_fim(J, geom.jacobian, g)
+def fim_xform(scenario: Scenario, bc: BeamCovariance) -> np.ndarray:
+    """5x5 information matrix over [gain_re, gain_im, delay, aod, aoa]: the
+    closed form, a fixed linear map of the eight aggregates of the blocks
+    (see _Kernel.fim)."""
+    return _closed_form(scenario, bc)[0]
+
+
+def fim_entrywise(scenario: Scenario, bc: BeamCovariance) -> FisherBundle:
+    """Bundle of the closed-form information matrix (fim_xform's matrix).
+
+    Returns the matrix with its partition, both effective forms and SPEB
+    values (NaN + flag when the position information fails the condition
+    guard).
+    """
+    J, jacobian = _closed_form(scenario, bc)
+    return bundle_from_fim(J, jacobian, scenario.gain)
 
 
 def bundle_from_fim(J: np.ndarray, jacobian: np.ndarray, gain: complex) -> FisherBundle:
@@ -473,38 +677,6 @@ def speb_known_gain(bundle: FisherBundle, gain: complex | None = None) -> float:
     return value
 
 
-def fim_xform(scenario: Scenario, bc: BeamCovariance) -> np.ndarray:
-    """Information matrix as a quadratic form in per-subcarrier structure
-    matrices; an independent route to the same 5x5 matrix as fim_entrywise.
-
-        J = kappa * sum_p Re(|g|^2 X_r[p] B_p X_r[p]^H + X_t[p] B_p X_t[p]^H)
-    """
-    check_beam_covariance(bc, scenario)
-    geom = derive_geometry(scenario.p_t, scenario.p_r, scenario.p_s)
-    tx, rx = _manifolds(scenario, geom)
-    kappa = 2.0 / scenario.noise_power
-    g = complex(scenario.gain)
-    mag2 = g.real**2 + g.imag**2
-    sq_nt = np.sqrt(scenario.n_tx)
-    sq_nr = np.sqrt(scenario.n_rx)
-    m = scenario.block_dim
-
-    J = np.zeros((5, 5))
-    for p, w in enumerate(scenario.subcarrier_offsets):
-        x_t = np.zeros((5, m), dtype=complex)
-        x_t[0, 0] = sq_nt
-        x_t[1, 0] = 1j * sq_nt
-        x_t[2, 0] = -1j * g * w * sq_nt
-        if m == 2:
-            x_t[3, 1] = g * tx[p].norm_a_dot
-        x_t *= sq_nr
-        x_r = np.zeros((5, m), dtype=complex)
-        x_r[4, 0] = sq_nt * rx[p].norm_a_dot
-        b = bc.blocks[p]
-        J += kappa * (mag2 * (x_r @ b @ x_r.conj().T) + x_t @ b @ x_t.conj().T).real
-    return J
-
-
 def fim_from_derivatives(
     scenario: Scenario, pilots: Sequence[np.ndarray]
 ) -> np.ndarray:
@@ -514,8 +686,8 @@ def fim_from_derivatives(
     transmit vectors for subcarrier p; their sample covariance
     sum_i s_i s_i^H stands in for R_s[p]. For each pilot the five derivative
     vectors of the observation are stacked and accumulated as
-    kappa * Re(D^H D). This route never touches the closed-form entries and
-    serves as the oracle for the other two.
+    kappa * Re(D^H D). This route never touches the closed form and serves
+    as its oracle.
     """
     if len(pilots) != scenario.n_subcarriers:
         raise ValueError(

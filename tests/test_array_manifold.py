@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from bisense.array_manifold import build_uca, narrowband_steering, steering
+from bisense.array_manifold import ArrayModel, build_uca, steering
 from bisense.errors import InvalidArray
 from bisense.geometry import SPEED_OF_LIGHT
 
@@ -48,6 +48,17 @@ def test_uca_centroid_zero():
         assert np.linalg.norm(arr.element_positions.sum(axis=0)) < 1e-12
 
 
+def test_off_centre_array_rejected():
+    for n in range(1, 17):
+        for spacing in (HALF_WAVE, 1e-3, 10.0):
+            build_uca(n, spacing)  # centred to rounding: accepted
+    shifted = build_uca(15, HALF_WAVE).element_positions + np.array([0.01, 0.0])
+    with pytest.raises(InvalidArray, match="centered"):
+        ArrayModel(element_positions=shifted)
+    with pytest.raises(InvalidArray, match="centered"):
+        ArrayModel(element_positions=np.array([[0.01, 0.0]]))
+
+
 def test_invalid_array_args():
     with pytest.raises(InvalidArray):
         build_uca(0, 0.04)
@@ -87,17 +98,23 @@ def test_orthogonality_many_angles(n):
     st.floats(-np.pi, np.pi),
     st.floats(0.5e9, 10e9),
 )
+@example(n=2, angle=1e-10, freq_ghz=0.5e9)  # |a_dot| 3e-11, below the oracle's rounding
 def test_a_dot_matches_finite_differences(n, angle, freq_ghz):
     omega = 2 * np.pi * freq_ghz
     arr = build_uca(n, HALF_WAVE)
     sp = steering(arr, angle, omega)
-    num = numeric_a_dot(arr, angle, omega)
+    step = 1e-5
+    num = numeric_a_dot(arr, angle, omega, step)
     err = np.linalg.norm(sp.a_dot - num)
-    scale = np.linalg.norm(num)
-    if scale < 1e-12:
-        assert err < 1e-12
-    else:
-        assert err < 1e-6 * scale
+    # Rounding floor of the central difference: each entry of a has unit
+    # modulus and a phase k (pos . e_r) of size at most k r_max, so it is
+    # computed to within about (1 + k r_max) eps. The difference of two
+    # entries over 2 step then errs by up to (1 + k r_max) eps / step, and
+    # the vector of n entries by |a| (1 + k r_max) eps / step; the factor 4
+    # covers the constants in "about".
+    k_r_max = omega / SPEED_OF_LIGHT * np.linalg.norm(arr.element_positions, axis=1).max()
+    floor = 4 * sp.norm_a * (1 + k_r_max) * np.finfo(float).eps / step
+    assert err < 1e-6 * np.linalg.norm(num) + floor
 
 
 def test_a_dot_norm_linear_in_frequency():
@@ -122,10 +139,3 @@ def test_orientation_shifts_local_angle():
     assert np.allclose(sp0.a, sp1.a)
     assert np.allclose(sp0.a_dot, sp1.a_dot)
 
-
-def test_narrowband_alias():
-    arr = build_uca(3, HALF_WAVE)
-    sp1 = narrowband_steering(arr, 0.2, OMEGA_C)
-    sp2 = steering(arr, 0.2, OMEGA_C)
-    assert np.array_equal(sp1.a, sp2.a)
-    assert np.array_equal(sp1.a_dot, sp2.a_dot)
