@@ -20,6 +20,10 @@ from .fisher import Scenario, subcarrier_offsets_rad
 from .geometry import SPEED_OF_LIGHT, Position2D
 from .sweep import DEFAULT_RCS_COEFF_M, GridSpec, channel_gain
 
+# libyaml's parser when PyYAML was built with it; the pure-Python one parses
+# the default config about eight times slower
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -136,7 +140,7 @@ def load_config(path) -> RunConfig:
     """Parse a YAML config file; missing sections inherit the defaults."""
     try:
         with open(path) as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_YAML_LOADER)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except yaml.YAMLError as exc:

@@ -33,9 +33,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .array_manifold import ArrayModel, SteeringPair, steering
+from .array_manifold import ArrayModel, steering
 from .errors import SingularEFIM
-from .geometry import GeometryState, Position2D, derive_geometry
+from .geometry import Position2D, derive_geometry
 
 COND_LIMIT = 1e12  # position FIM condition number beyond which SPEB is refused
 
@@ -221,18 +221,6 @@ def _omega_total(scenario: Scenario, offset: float) -> float:
     return scenario.omega_carrier + (0.0 if scenario.narrowband else offset)
 
 
-def _manifolds(
-    scenario: Scenario, geom: GeometryState
-) -> tuple[list[SteeringPair], list[SteeringPair]]:
-    """Per-subcarrier steering pairs at the two terminals."""
-    tx, rx = [], []
-    for w in scenario.subcarrier_offsets:
-        w_total = _omega_total(scenario, w)
-        tx.append(steering(scenario.tx_array, geom.theta_t, w_total))
-        rx.append(steering(scenario.rx_array, geom.theta_r, w_total))
-    return tx, rx
-
-
 def precoder(scenario: Scenario, subcarrier_index: int) -> np.ndarray:
     """Beam basis matrix F_p for one subcarrier; R_s[p] = F_p B_p F_p^H.
 
@@ -370,6 +358,11 @@ class _Kernel:
     5x5 matrix is a fixed linear map of z (fim), and the effective 3x3 form
     and its position information are closed forms in z (_efim), so repeated
     objective and gradient evaluations never rebuild steering vectors.
+
+    The arrays enter only through the derivative norms, which are linear in
+    frequency: build evaluates one steering pair per terminal at the carrier
+    and scales its norm by omega_total / omega_carrier for each subcarrier
+    (exactly 1.0 for narrowband scenes).
     """
 
     omegas: np.ndarray  # (P,)
@@ -389,13 +382,18 @@ class _Kernel:
     @staticmethod
     def build(scenario: Scenario) -> "_Kernel":
         geom = derive_geometry(scenario.p_t, scenario.p_r, scenario.p_s)
-        tx, rx = _manifolds(scenario, geom)
+        carrier = scenario.omega_carrier
+        ratios = np.array(
+            [_omega_total(scenario, w) / carrier for w in scenario.subcarrier_offsets]
+        )
+        tx = steering(scenario.tx_array, geom.theta_t, carrier)
+        rx = steering(scenario.rx_array, geom.theta_r, carrier)
         kappa = 2.0 / scenario.noise_power
         mag2 = abs(scenario.gain) ** 2
         return _Kernel(
             omegas=np.array(scenario.subcarrier_offsets, dtype=float),
-            nda_t=np.array([sp.norm_a_dot for sp in tx]),
-            nda_r=np.array([sp.norm_a_dot for sp in rx]),
+            nda_t=tx.norm_a_dot * ratios,
+            nda_r=rx.norm_a_dot * ratios,
             c0=kappa * scenario.n_rx * scenario.n_tx,
             r0=kappa * scenario.n_rx * np.sqrt(scenario.n_tx),
             c1=kappa * mag2 * scenario.n_rx * scenario.n_tx,
@@ -694,14 +692,16 @@ def fim_from_derivatives(
             f"{len(pilots)} pilot sets for {scenario.n_subcarriers} subcarriers"
         )
     geom = derive_geometry(scenario.p_t, scenario.p_r, scenario.p_s)
-    tx, rx = _manifolds(scenario, geom)
     kappa = 2.0 / scenario.noise_power
     g = complex(scenario.gain)
 
     J = np.zeros((5, 5))
     for p, w in enumerate(scenario.subcarrier_offsets):
-        a_t, da_t = tx[p].a, tx[p].a_dot
-        a_r, da_r = rx[p].a, rx[p].a_dot
+        w_total = _omega_total(scenario, w)
+        tx = steering(scenario.tx_array, geom.theta_t, w_total)
+        rx = steering(scenario.rx_array, geom.theta_r, w_total)
+        a_t, da_t = tx.a, tx.a_dot
+        a_r, da_r = rx.a, rx.a_dot
         phase = np.exp(-1j * w * geom.tau)
         block = np.asarray(pilots[p], dtype=complex)
         if block.ndim != 2 or block.shape[0] != scenario.n_tx:

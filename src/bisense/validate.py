@@ -13,12 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamform_opt import optimize, speb_gradient
+from .beamform_opt import OptResult, optimize
 from .config import RunConfig, ScenarioConfig, build_options, build_scenario, default_config
 from .errors import BisenseError
 from .fisher import (
     BeamCovariance,
     Scenario,
+    _Kernel,
     fim_entrywise,
     fim_from_derivatives,
     fim_xform,
@@ -83,7 +84,8 @@ def _random_blocks(
 
 
 def check_fim_cross_routes(rng: np.random.Generator, trials: int = 8) -> CheckResult:
-    """Three information-matrix routes must agree to near machine precision."""
+    """The closed form (fim_xform, fim_entrywise) must agree with the
+    derivative oracle (fim_from_derivatives) to near machine precision."""
     worst = 0.0
     for _ in range(trials):
         scenario = _random_scenario(rng)
@@ -107,7 +109,10 @@ def check_fim_cross_routes(rng: np.random.Generator, trials: int = 8) -> CheckRe
 
 
 def check_gradient_finite_difference(rng: np.random.Generator, trials: int = 4) -> CheckResult:
-    """Analytic objective gradient vs central differences of the closed form."""
+    """Analytic objective gradient vs central differences of the closed form.
+
+    One kernel per drawn scene supplies the conditioning screen, the
+    gradient and both SPEB probes."""
     worst = 0.0
     done = 0
     attempts = 0
@@ -115,20 +120,18 @@ def check_gradient_finite_difference(rng: np.random.Generator, trials: int = 4) 
         attempts += 1
         scenario = _random_scenario(rng, min_subcarriers=2)
         bc = _random_blocks(rng, scenario, fraction=0.6, eig_floor_fraction=0.05)
-        bundle = fim_entrywise(scenario, bc)
-        if bundle.singular:
+        kernel = _Kernel.build(scenario)
+        eigs = np.linalg.eigvalsh(kernel.position_fim(bc.blocks))
+        if not eigs[0] > 0.0 or eigs[-1] / eigs[0] > 1e8:
             continue
-        eigs = np.linalg.eigvalsh(bundle.position_fim)
-        if eigs[0] <= 0.0 or eigs[-1] / eigs[0] > 1e8:
-            continue
-        grad = speb_gradient(scenario, bc)
+        grad = kernel.gradient(bc.blocks)
         p, m = scenario.n_subcarriers, scenario.block_dim
         raw = rng.normal(size=(p, m, m)) + 1j * rng.normal(size=(p, m, m))
         direction = raw + raw.conj().transpose(0, 2, 1)
         direction /= np.linalg.norm(direction)
         h = 1e-6 * scenario.power_budget
-        f_plus = fim_entrywise(scenario, BeamCovariance(blocks=bc.blocks + h * direction)).speb
-        f_minus = fim_entrywise(scenario, BeamCovariance(blocks=bc.blocks - h * direction)).speb
+        f_plus = kernel.speb(bc.blocks + h * direction)
+        f_minus = kernel.speb(bc.blocks - h * direction)
         fd = (f_plus - f_minus) / (2.0 * h)
         pred = float(np.vdot(grad, direction).real)
         worst = max(worst, abs(fd - pred) / max(abs(fd), abs(pred), 1e-300))
@@ -142,7 +145,8 @@ def check_gradient_finite_difference(rng: np.random.Generator, trials: int = 4) 
 
 
 def check_objective_convexity(rng: np.random.Generator, trials: int = 12) -> CheckResult:
-    """Jensen inequality along random feasible segments."""
+    """Jensen inequality along random feasible segments, all five SPEBs of a
+    segment from one kernel."""
     worst = -np.inf
     done = 0
     attempts = 0
@@ -151,13 +155,13 @@ def check_objective_convexity(rng: np.random.Generator, trials: int = 12) -> Che
         scenario = _random_scenario(rng)
         b0 = _random_blocks(rng, scenario, fraction=float(rng.uniform(0.3, 1.0)))
         b1 = _random_blocks(rng, scenario, fraction=float(rng.uniform(0.3, 1.0)))
-        f0 = fim_entrywise(scenario, b0).speb
-        f1 = fim_entrywise(scenario, b1).speb
+        kernel = _Kernel.build(scenario)
+        f0 = kernel.speb(b0.blocks)
+        f1 = kernel.speb(b1.blocks)
         if not (np.isfinite(f0) and np.isfinite(f1)):
             continue
         for lam in (0.25, 0.5, 0.75):
-            mix = BeamCovariance(blocks=lam * b0.blocks + (1.0 - lam) * b1.blocks)
-            f_mix = fim_entrywise(scenario, mix).speb
+            f_mix = kernel.speb(lam * b0.blocks + (1.0 - lam) * b1.blocks)
             chord = lam * f0 + (1.0 - lam) * f1
             if not np.isfinite(f_mix):
                 worst = np.inf  # singular between finite endpoints breaks convexity
@@ -172,15 +176,26 @@ def check_objective_convexity(rng: np.random.Generator, trials: int = 12) -> Che
     )
 
 
-def check_optimal_structure(config: RunConfig) -> CheckResult:
-    """Solve the configured scenario and test the expected solution shape:
-    full budget spent, and for a symmetric grid a mirror-symmetric steering
-    profile with a purely imaginary steering/derivative cross term."""
+Solved = tuple[Scenario, OptResult] | BisenseError
+
+
+def solve_configured(config: RunConfig) -> Solved:
+    """The configured scenario and its optimum, or the error that stopped
+    the solve; shared by the checks that inspect the optimum."""
     try:
         scenario = build_scenario(config)
-        res = optimize(scenario, build_options(config))
+        return scenario, optimize(scenario, build_options(config))
     except BisenseError as exc:
-        return CheckResult("optimal-structure", False, f"solve failed: {exc}")
+        return exc
+
+
+def check_optimal_structure(solved: Solved) -> CheckResult:
+    """Test the expected shape of the configured optimum: full budget spent,
+    and for a symmetric grid a mirror-symmetric steering profile with a
+    purely imaginary steering/derivative cross term."""
+    if isinstance(solved, BisenseError):
+        return CheckResult("optimal-structure", False, f"solve failed: {solved}")
+    scenario, res = solved
     budget = scenario.power_budget
     blocks = res.beam.blocks
     trace_err = abs(res.beam.total_power() - budget) / budget
@@ -207,14 +222,12 @@ def check_optimal_structure(config: RunConfig) -> CheckResult:
     return CheckResult("optimal-structure", True, detail)
 
 
-def check_known_gain_bound(config: RunConfig) -> CheckResult:
+def check_known_gain_bound(solved: Solved) -> CheckResult:
     """Knowing the channel gain can only help; at a symmetric optimum the
     delay/gain coupling cancels and the two bounds coincide."""
-    try:
-        scenario = build_scenario(config)
-        res = optimize(scenario, build_options(config))
-    except BisenseError as exc:
-        return CheckResult("known-gain-bound", False, f"solve failed: {exc}")
+    if isinstance(solved, BisenseError):
+        return CheckResult("known-gain-bound", False, f"solve failed: {solved}")
+    scenario, res = solved
     bundle = fim_entrywise(scenario, res.beam)
     s, skg = bundle.speb, bundle.speb_known_gain
     if not (np.isfinite(s) and np.isfinite(skg)):
@@ -286,12 +299,13 @@ def run_validation(config: RunConfig | None = None, seed: int = 20260819) -> lis
     if config is None:
         config = default_config()
     rng = np.random.default_rng(seed)
+    solved = solve_configured(config)
     return [
         check_fim_cross_routes(rng),
         check_gradient_finite_difference(rng),
         check_objective_convexity(rng),
-        check_optimal_structure(config),
-        check_known_gain_bound(config),
+        check_optimal_structure(solved),
+        check_known_gain_bound(solved),
         check_subcarrier_symmetry(config),
         check_narrowband_consistency(config),
     ]

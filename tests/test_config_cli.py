@@ -2,6 +2,7 @@
 exit codes, output files, precedence of output-directory sources, and
 determinism of written artifacts."""
 
+import collections
 import json
 import subprocess
 import sys
@@ -10,6 +11,8 @@ import numpy as np
 import pytest
 import yaml
 
+from bisense import config as config_module
+from bisense import validate
 from bisense.cli import (
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
@@ -31,7 +34,7 @@ from bisense.config import (
     load_config,
 )
 from bisense.errors import ConfigError
-from bisense.fisher import BeamCovariance, fim_entrywise
+from bisense.fisher import BeamCovariance, _Kernel, fim_entrywise
 from bisense.validate import format_results, run_validation
 
 from conftest import default_scenario
@@ -106,6 +109,26 @@ def test_invalid_yaml_reports_config_error(tmp_path):
         load_config(path)
 
 
+def test_pure_python_yaml_loader_parses_the_same(tmp_path, monkeypatch):
+    default_path = tmp_path / "default.yaml"
+    dump_config(default_config(), default_path)
+    partial_path = tmp_path / "partial.yaml"
+    partial_path.write_text("scenario:\n  n_rx: 7\ngrid:\n  nx: 5\n")
+    bad_path = tmp_path / "bad.yaml"
+    bad_path.write_text("scenario: [unclosed\n")
+
+    def outcome():
+        with pytest.raises(ConfigError, match="not valid YAML") as err:
+            load_config(bad_path)
+        cause = err.value.__cause__
+        marks = [(m.line, m.column) for m in (cause.context_mark, cause.problem_mark)]
+        return load_config(default_path), load_config(partial_path), type(cause), marks
+
+    configured = outcome()
+    monkeypatch.setattr(config_module, "_YAML_LOADER", yaml.SafeLoader)
+    assert outcome() == configured
+
+
 def test_missing_file_reports_config_error(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(tmp_path / "nope.yaml")
@@ -170,7 +193,49 @@ def test_validation_flags_unsolvable_scenario():
     results = {r.name: r for r in run_validation(cfg)}
     assert not results["optimal-structure"].passed
     assert "solve failed" in results["optimal-structure"].detail
+    assert not results["known-gain-bound"].passed
+    assert "solve failed" in results["known-gain-bound"].detail
     assert results["fim-cross-routes"].passed  # randomized checks unaffected
+
+
+def test_validation_solves_once(monkeypatch):
+    solves = []
+    real_optimize = validate.optimize
+
+    def counting_optimize(*args, **kwargs):
+        solves.append(args)
+        return real_optimize(*args, **kwargs)
+
+    monkeypatch.setattr(validate, "optimize", counting_optimize)
+    results = run_validation()
+    assert all(r.passed for r in results), format_results(results)
+    assert len(solves) == 1
+
+
+@pytest.mark.parametrize(
+    "check", [validate.check_gradient_finite_difference, validate.check_objective_convexity]
+)
+def test_probing_checks_build_one_kernel_per_scene(check, monkeypatch):
+    drawn = []  # holds every drawn scenario, so no id is reused
+    builds = collections.Counter()
+    real_draw = validate._random_scenario
+    real_build = _Kernel.build
+
+    def recording_draw(*args, **kwargs):
+        drawn.append(real_draw(*args, **kwargs))
+        return drawn[-1]
+
+    def counting_build(scenario):
+        builds[id(scenario)] += 1
+        return real_build(scenario)
+
+    monkeypatch.setattr(validate, "_random_scenario", recording_draw)
+    monkeypatch.setattr(_Kernel, "build", staticmethod(counting_build))
+    result = check(np.random.default_rng(20260819))
+    assert result.passed, result.detail
+    assert builds
+    assert set(builds) <= {id(sc) for sc in drawn}
+    assert max(builds.values()) == 1
 
 
 # -----------------------------------------------------------------------------

@@ -10,9 +10,11 @@ from conftest import (
     random_scenario,
 )
 
+from bisense.array_manifold import steering
 from bisense.errors import SingularEFIM
 from bisense.fisher import (
     BeamCovariance,
+    _Kernel,
     bundle_from_fim,
     check_beam_covariance,
     fim_entrywise,
@@ -26,7 +28,7 @@ from bisense.fisher import (
     speb_known_gain,
     subcarrier_offsets_rad,
 )
-from bisense.geometry import Position2D
+from bisense.geometry import Position2D, derive_geometry
 
 
 def rel_frob(a, b):
@@ -52,6 +54,38 @@ def test_asymmetric_grid_rejected():
                 "subcarrier_offsets": (1e6, 2e6),
             }
         )
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"n_subcarriers": 64, "narrowband": False},
+        {"n_subcarriers": 256, "narrowband": False, "spacing_hz": 30e3},
+        {"n_subcarriers": 4, "narrowband": False, "n_tx": 1},
+        {"n_subcarriers": 4},
+    ],
+    ids=["p64_wideband", "p256_wideband_30khz", "single_tx_wideband", "p4_narrowband"],
+)
+def test_kernel_norms_match_per_subcarrier_steering(kwargs):
+    scn = default_scenario(**kwargs)
+    kernel = _Kernel.build(scn)
+    geom = derive_geometry(scn.p_t, scn.p_r, scn.p_s)
+    for array, angle, got in (
+        (scn.tx_array, geom.theta_t, kernel.nda_t),
+        (scn.rx_array, geom.theta_r, kernel.nda_r),
+    ):
+        want = np.array(
+            [
+                steering(array, angle, scn.omega_carrier + (0.0 if scn.narrowband else w)).norm_a_dot
+                for w in scn.subcarrier_offsets
+            ]
+        )
+        if scn.narrowband:
+            assert np.array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    if scn.n_tx == 1:
+        assert not kernel.nda_t.any()
 
 
 def test_precoder_orthonormal_columns():
