@@ -148,6 +148,12 @@ def _status_counts(status: np.ndarray) -> dict[str, int]:
     }
 
 
+def _gap_max(*results) -> float | None:
+    """Largest certified optimality gap over the ok cells of the sweeps."""
+    gaps = np.concatenate([r.gap[r.status == STATUS_OK] for r in results])
+    return float(gaps.max()) if gaps.size else None
+
+
 def _cmd_map(args) -> int:
     config = _load(args)
     scenario = build_scenario(config)
@@ -171,6 +177,7 @@ def _cmd_map(args) -> int:
         extra = {
             "convergence_fraction": fraction,
             "status_counts": counts,
+            "optimality_gap_max": _gap_max(result.forward, result.reverse),
             "role_cells": {
                 "forward": int((flags > 0).sum()),
                 "reverse": int((flags < 0).sum()),
@@ -186,6 +193,7 @@ def _cmd_map(args) -> int:
         extra = {
             "convergence_fraction": fraction,
             "status_counts": counts,
+            "optimality_gap_max": _gap_max(result),
             "csv": csv_path.name,
         }
     write_metadata(

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from collections import deque
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
 
-from .beamform_opt import OptOptions, OptResult, optimize
+from .beamform_opt import OptOptions, OptResult, optimize, project_feasible
 from .errors import DegenerateGeometry, InfeasibleScenario
 from .fisher import BeamCovariance, Scenario
 from .geometry import Position2D
@@ -40,6 +41,12 @@ STATUS_LABELS = {
 
 DEFAULT_RCS_COEFF_M = 0.1
 ROLE_TIE_REL_TOL = 1e-9
+
+# Start of each cell: the polynomial through the last h converged optima of
+# the row's run, extrapolated one cell ahead (the secant predictor of
+# predictor-corrector continuation). Entry h - 1 holds the weights for a run
+# of length h, newest optimum first.
+_PREDICTOR_WEIGHTS = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0), (4.0, -6.0, 4.0, -1.0))
 
 
 def channel_gain(
@@ -122,6 +129,7 @@ class SweepResult:
     peb: np.ndarray  # (ny, nx) meters, NaN where status != ok
     power_share: np.ndarray  # (ny, nx) steering-direction budget fraction
     rank_one: np.ndarray  # (ny, nx) bool, all active blocks rank one
+    gap: np.ndarray  # (ny, nx) certified relative optimality gap, NaN where status != ok
     status: np.ndarray  # (ny, nx) int8, see STATUS_LABELS
     grid: GridSpec
 
@@ -138,7 +146,7 @@ def _cell_solve(
     grid: GridSpec,
     options: OptOptions,
     rcs_coeff_m: float,
-    warm: BeamCovariance | None,
+    run: deque,
 ) -> tuple[int, OptResult | None]:
     d_t = np.hypot(p_s.x - scenario.p_t.x, p_s.y - scenario.p_t.y)
     d_r = np.hypot(p_s.x - scenario.p_r.x, p_s.y - scenario.p_r.y)
@@ -148,6 +156,7 @@ def _cell_solve(
         return STATUS_SINGULAR, None
     gain = channel_gain(scenario.p_t, scenario.p_r, p_s, scenario.wavelength, rcs_coeff_m)
     cell = dataclasses.replace(scenario, p_s=p_s, gain=complex(gain))
+    warm = _predict(run, scenario.power_budget)
     try:
         res = optimize(cell, options=options, initial=warm)
         if not res.converged and warm is not None:
@@ -159,6 +168,16 @@ def _cell_solve(
     return STATUS_OK, res
 
 
+def _predict(run: deque, power_budget: float) -> BeamCovariance | None:
+    """Feasible extrapolation of the run's optima (oldest first) to the next
+    cell, or None for an empty run."""
+    if not run:
+        return None
+    weights = _PREDICTOR_WEIGHTS[len(run) - 1]
+    pred = sum(w * blocks for w, blocks in zip(weights, reversed(run)))
+    return project_feasible(pred, power_budget)
+
+
 def sweep(
     scenario: Scenario,
     grid: GridSpec | None = None,
@@ -168,8 +187,12 @@ def sweep(
     """Optimize the beams at every grid cell and collect the bound surface.
 
     The scenario's own target position and gain are ignored; each cell gets
-    its own target and freshly derived gain. Rows are processed serially and
-    each solve warm-starts from the previous converged cell in its row.
+    its own target and freshly derived gain. Rows are processed serially.
+    Each row keeps a run of its last converged optima (at most four); a cell
+    starts from the feasible projection of their polynomial extrapolation
+    (_PREDICTOR_WEIGHTS), the first cell of a run starts cold, and a predicted
+    start that fails to converge is retried cold. The run restarts at every
+    row and after every cell whose status is not ok.
     """
     grid = grid or GridSpec()
     options = options or OptOptions()
@@ -178,21 +201,27 @@ def sweep(
     peb = np.full(shape, np.nan)
     share = np.full(shape, np.nan)
     rank_one = np.zeros(shape, dtype=bool)
+    gap = np.full(shape, np.nan)
     status = np.zeros(shape, dtype=np.int8)
     for i, y in enumerate(ys):
-        warm: BeamCovariance | None = None
+        run: deque = deque(maxlen=len(_PREDICTOR_WEIGHTS))
         for j, x in enumerate(xs):
             code, res = _cell_solve(
-                scenario, Position2D(float(x), float(y)), grid, options, rcs_coeff_m, warm
+                scenario, Position2D(float(x), float(y)), grid, options, rcs_coeff_m, run
             )
             status[i, j] = code
-            if res is not None:
-                peb[i, j] = res.peb
-                share[i, j] = res.power_share_toward_target
-                rank_one[i, j] = max(res.rank_profile) == 1
-                warm = res.beam
+            if res is None:
+                run.clear()
+                continue
+            peb[i, j] = res.peb
+            share[i, j] = res.power_share_toward_target
+            rank_one[i, j] = max(res.rank_profile) == 1
+            # a zero gap can come out as -1e-16 after rounding
+            gap[i, j] = max(res.optimality_gap_rel, 0.0)
+            run.append(res.beam.blocks)
     return SweepResult(
-        xs=xs, ys=ys, peb=peb, power_share=share, rank_one=rank_one, status=status, grid=grid
+        xs=xs, ys=ys, peb=peb, power_share=share, rank_one=rank_one, gap=gap,
+        status=status, grid=grid,
     )
 
 
@@ -200,6 +229,7 @@ def sweep(
 class RoleSweepResult:
     """Forward (as-given) and reverse (roles exchanged) sweeps plus the
     per-cell verdict: +1 forward better, -1 reverse better, 0 tie or no data.
+    A tie is a difference that the two solves cannot resolve (see role_sweep).
     """
 
     forward: SweepResult
@@ -229,15 +259,22 @@ def role_sweep(
     """Sweep both role assignments and compare the optimized bounds.
 
     A cell is a tie when the two bounds differ by less than tie_rel_tol in
-    relative terms; cells where only one assignment is solvable go to that
-    assignment; cells with no data are flagged 0.
+    relative terms, or when their SPEBs differ by no more than the sum of the
+    two certified gaps, gap_f * pf^2 + gap_r * pr^2: by convexity each SPEB
+    lies within its own gap of its optimum, so a smaller difference does not
+    say which optimum is lower. Cells where only one assignment is solvable go
+    to that assignment; cells with no data are flagged 0.
     """
     forward = sweep(scenario, grid, options, rcs_coeff_m)
     reverse = sweep(swap_roles(scenario), grid, options, rcs_coeff_m)
     pf, pr = forward.peb, reverse.peb
     flag = np.zeros(pf.shape, dtype=np.int8)
     both = np.isfinite(pf) & np.isfinite(pr)
-    tie = both & (np.abs(pf - pr) <= tie_rel_tol * np.minimum(pf, pr))
+    sf, sr = pf**2, pr**2
+    tie = both & (
+        (np.abs(pf - pr) <= tie_rel_tol * np.minimum(pf, pr))
+        | (np.abs(sf - sr) <= forward.gap * sf + reverse.gap * sr)
+    )
     flag[both & ~tie & (pf < pr)] = 1
     flag[both & ~tie & (pr < pf)] = -1
     flag[np.isfinite(pf) & ~np.isfinite(pr)] = 1

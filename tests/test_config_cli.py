@@ -368,6 +368,44 @@ def test_map_writes_csv_and_metadata(tmp_path, capsys):
     assert counts["ok"] + counts["excluded"] + counts["singular"] == 25
 
 
+def test_map_sidecar_reports_largest_certified_gap(tmp_path, capsys, monkeypatch):
+    """optimality_gap_max is the largest gap over ok cells, over both
+    assignments for role maps, and null when no cell is ok."""
+    cli_module = sys.modules["bisense.cli"]
+    swept = []
+
+    def recording(real):
+        def wrapped(*args, **kwargs):
+            swept.append(real(*args, **kwargs))
+            return swept[-1]
+
+        return wrapped
+
+    monkeypatch.setattr(cli_module, "sweep", recording(cli_module.sweep))
+    monkeypatch.setattr(cli_module, "role_sweep", recording(cli_module.role_sweep))
+    cfg = small_map_config(tmp_path)
+    out_dir = tmp_path / "maps"
+    for kind in ("peb", "role"):
+        code, _, _ = run_cli(
+            "map", "--kind", kind, "--config", str(cfg), "--out", str(out_dir), capsys=capsys
+        )
+        assert code == EXIT_OK
+    peb_meta = json.loads((out_dir / "peb_map.json").read_text())
+    role_meta = json.loads((out_dir / "role_map.json").read_text())
+    peb_result, role_result = swept
+    assert peb_meta["optimality_gap_max"] == np.nanmax(peb_result.gap)
+    assert 0.0 <= peb_meta["optimality_gap_max"] <= 1e-6
+    both = np.concatenate([role_result.forward.gap, role_result.reverse.gap])
+    assert role_meta["optimality_gap_max"] == np.nanmax(both)
+    assert 0.0 <= role_meta["optimality_gap_max"] <= 1e-6
+
+    strip = tmp_path / "strip.yaml"  # every cell on the baseline strip: none is ok
+    strip.write_text("grid: {x_min_m: -1.0, x_max_m: 1.0, y_min_m: -0.01, y_max_m: 0.01}\n")
+    code, _, _ = run_cli("map", "--config", str(strip), "--out", str(out_dir), capsys=capsys)
+    assert code == EXIT_OK
+    assert json.loads((out_dir / "peb_map.json").read_text())["optimality_gap_max"] is None
+
+
 def test_role_map_flags_and_counts(tmp_path, capsys):
     cfg = small_map_config(tmp_path)
     out_dir = tmp_path / "maps"

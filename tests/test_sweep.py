@@ -1,6 +1,7 @@
 """Map-layer tests: per-cell gain model, grid bookkeeping, status coding,
 mirror symmetry, deterministic outputs, and the role comparison."""
 
+import importlib
 import json
 
 import numpy as np
@@ -21,7 +22,7 @@ from bisense.sweep import (
     write_role_csv,
     write_sweep_csv,
 )
-from bisense.beamform_opt import OptOptions
+from bisense.beamform_opt import OptOptions, optimize, project_feasible
 
 from conftest import CARRIER_HZ, default_scenario
 
@@ -252,3 +253,75 @@ def test_metadata_sidecar(tmp_path):
     assert meta["note"] == "unit test"
     assert "created_at" in meta
     assert meta["status_labels"]["2"] == "singular-EFIM"
+
+
+@pytest.mark.parametrize("gap_tol", [1e-6, 1e-4])
+def test_role_tie_within_certified_gaps(gap_tol):
+    """Each solve stops somewhere inside its certificate, so two SPEBs that
+    differ by less than their certified gaps do not rank the assignments: the
+    equidistant column stays a tie at any valid gap_tol."""
+    sc = default_scenario(n_tx=5, n_rx=5)
+    grid = GridSpec(x_min=-20.0, x_max=20.0, y_min=-20.0, y_max=20.0, nx=5, ny=5)
+    rs = role_sweep(sc, grid, OptOptions(gap_tol=gap_tol, grad_tol=0.0))
+    column = rs.forward.xs == 0.0
+    both = (np.isfinite(rs.forward.peb) & np.isfinite(rs.reverse.peb))[:, column]
+    assert both.sum() == 4  # the baseline cell is singular
+    assert np.all(rs.role_flag[:, column][both] == 0)
+
+
+def _extrapolate(beams):
+    """Polynomial through the last (at most four) optima, one cell ahead; the
+    y = 12 row reaches runs of five to eight optima."""
+    b = beams[-4:]
+    if len(b) == 1:
+        return b[-1]
+    if len(b) == 2:
+        return 2.0 * b[-1] - b[-2]
+    if len(b) == 3:
+        return 3.0 * b[-1] - 3.0 * b[-2] + b[-3]
+    return 4.0 * b[-1] - 6.0 * b[-2] + 4.0 * b[-3] - b[-4]
+
+
+def test_sweep_starts_cells_from_extrapolated_optima(monkeypatch):
+    """Each cell starts from the feasible projection of the extrapolated last
+    converged optima of its row; the run restarts at each row and after each
+    cell that is not ok."""
+    sweep_module = importlib.import_module("bisense.sweep")
+    calls = []
+
+    def recording_optimize(cell, options=None, initial=None):
+        res = optimize(cell, options=options, initial=initial)
+        calls.append(((cell.p_s.x, cell.p_s.y), initial, res))
+        return res
+
+    monkeypatch.setattr(sweep_module, "optimize", recording_optimize)
+    sc = default_scenario()
+    # y = 0: ok, ok, excluded, singular x3, excluded, ok, ok; y = 12: all ok
+    grid = GridSpec(x_min=-20.0, x_max=20.0, y_min=0.0, y_max=12.0, nx=9, ny=2)
+    res = sweep(sc, grid)
+    assert list(res.status[0]) == [STATUS_OK] * 2 + [STATUS_EXCLUDED] + [
+        STATUS_SINGULAR
+    ] * 3 + [STATUS_EXCLUDED] + [STATUS_OK] * 2
+    assert np.all(res.status[1] == STATUS_OK)
+    assert len(calls) == int((res.status == STATUS_OK).sum())  # no cold restarts
+
+    first = {}
+    for target, initial, solved in calls:
+        first.setdefault(target, (initial, solved))
+    for i, y in enumerate(res.ys):
+        run = []
+        for j, x in enumerate(res.xs):
+            if res.status[i, j] != STATUS_OK:
+                run = []
+                continue
+            initial, solved = first[(float(x), float(y))]
+            if not run:
+                assert initial is None
+            else:
+                expected = project_feasible(_extrapolate(run), sc.power_budget)
+                assert np.array_equal(initial.blocks, expected.blocks)
+            run.append(solved.beam.blocks)
+
+    ok = res.status == STATUS_OK
+    assert np.array_equal(np.isfinite(res.gap), ok)
+    assert np.all(res.gap[ok] >= 0.0)
