@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleScenario, InvalidAlpha, SingularEFIM
+from .errors import InfeasibleScenario, InvalidAlpha
 from .fisher import BeamCovariance, Scenario, _Kernel, check_beam_covariance
 
 
@@ -83,30 +83,25 @@ class OptResult:
 # projection onto {blocks PSD, total trace <= budget}
 
 
-def _shift_to_budget(lam: np.ndarray, budget: float, floor: float) -> np.ndarray:
-    """Project eigenvalues onto {x >= floor, sum x = budget} by uniform shift.
+def _shift_to_budget(lam: np.ndarray, budget: float) -> np.ndarray:
+    """Project eigenvalues onto {x >= 0, sum x = budget} by uniform shift.
 
-    Assumes sum(max(lam, floor)) > budget so the trace constraint is active.
+    Assumes sum(max(lam, 0)) > budget so the trace constraint is active. The
+    largest eigenvalue always stays above its shift (by budget > 0), so some
+    eigenvalue survives.
     """
     flat = np.sort(lam.ravel())[::-1]
-    n = flat.size
-    ks = np.arange(1, n + 1)
-    mus = (np.cumsum(flat) + (n - ks) * floor - budget) / ks
-    above = np.flatnonzero(flat - mus > floor)
-    if above.size == 0:
-        # budget barely covers the floors: spread it evenly
-        return np.full_like(lam, budget / n)
-    mu = mus[above.max()]
-    return np.maximum(lam - mu, floor)
+    ks = np.arange(1, flat.size + 1)
+    mus = (np.cumsum(flat) - budget) / ks
+    mu = mus[np.flatnonzero(flat > mus).max()]
+    return np.maximum(lam - mu, 0.0)
 
 
-def project_feasible(
-    blocks, power_budget: float, eig_floor: float = 0.0
-) -> BeamCovariance:
+def project_feasible(blocks, power_budget: float) -> BeamCovariance:
     """Nearest (Frobenius) feasible beam covariance to the given blocks.
 
-    Eigendecomposes each block, clamps eigenvalues at eig_floor, and if the
-    total trace still exceeds the budget applies one joint uniform-shift
+    Eigendecomposes each block, clamps eigenvalues at zero, and if the total
+    trace still exceeds the budget applies one joint uniform-shift
     projection across all eigenvalues with re-clamping. Eigenvectors are
     untouched, which is what makes this the exact Euclidean projection.
     """
@@ -115,9 +110,9 @@ def project_feasible(
         raw = raw[None, :, :]
     herm = 0.5 * (raw + raw.conj().transpose(0, 2, 1))
     lam, vecs = np.linalg.eigh(herm)
-    clamped = np.maximum(lam, eig_floor)
+    clamped = np.maximum(lam, 0.0)
     if clamped.sum() > power_budget:
-        clamped = _shift_to_budget(lam, power_budget, eig_floor)
+        clamped = _shift_to_budget(lam, power_budget)
     rebuilt = (vecs * clamped[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
     rebuilt = 0.5 * (rebuilt + rebuilt.conj().transpose(0, 2, 1))
     return BeamCovariance(blocks=rebuilt)
@@ -133,10 +128,7 @@ def speb_gradient(scenario: Scenario, bc: BeamCovariance) -> np.ndarray:
     Raises SingularEFIM where the objective itself is undefined.
     """
     check_beam_covariance(bc, scenario)
-    kernel = _Kernel.build(scenario)
-    if not np.isfinite(kernel.speb(bc.blocks)):
-        raise SingularEFIM("SPEB is singular at the requested blocks")
-    return kernel.gradient(bc.blocks)
+    return _Kernel.build(scenario).gradient(bc.blocks)
 
 
 def _outer_equal_split(scenario: Scenario) -> np.ndarray:
@@ -229,22 +221,23 @@ class _FactoredBeam:
     zero elsewhere, and sum ||y||^2 = budget is the total power. On that
     sphere psi(y) = speb(B(y)) ||y||^2 / budget equals the objective and is
     invariant under scaling y, because the SPEB is homogeneous of degree -1
-    in the blocks.
+    in the blocks. The beam carries its blocks' eight aggregates z next to
+    their objective f, so each point is mapped to the aggregates once.
     """
 
     def __init__(self, kernel: _Kernel, blocks: np.ndarray):
         self.kernel = kernel
         self.budget = kernel.budget
         self.shape = blocks.shape
-        self.coef = kernel._coefficients()
-        scale = self.budget * np.abs(self.coef).max(axis=(0, 2))
+        scale = self.budget * np.abs(kernel.coef).max(axis=(0, 2))
         self.agg_scale = np.where(scale > 0.0, scale, 1.0)
         active = np.flatnonzero(np.trace(blocks, axis1=1, axis2=2).real > 0.0)
         self.active = active
-        self.y, self.blocks, self.f = self._evaluate(active, _factor(blocks[active]))
+        self.y, self.blocks, self.z, self.f = self._evaluate(active, _factor(blocks[active]))
 
     def _evaluate(self, active: np.ndarray, y: np.ndarray):
-        """(y scaled onto the sphere, its blocks, their objective)."""
+        """(y scaled onto the sphere, its blocks, their aggregates, their
+        objective)."""
         y = y * (np.sqrt(self.budget) / np.linalg.norm(y))
         blocks = np.zeros(self.shape, dtype=complex)
         blocks[active, 0, 0] = y[:, 0] ** 2
@@ -253,11 +246,16 @@ class _FactoredBeam:
             blocks[active, 1, 0] = y[:, 0] * c
             blocks[active, 0, 1] = y[:, 0] * c.conj()
             blocks[active, 1, 1] = y[:, 1] ** 2 + y[:, 2] ** 2 + y[:, 3] ** 2
-        return y, blocks, self.kernel.speb(blocks)
+        z = self.kernel._aggregates(blocks)
+        return y, blocks, z, self.kernel._speb_from_aggregates(z)
 
-    def step(self, grads: np.ndarray, gap_rel: float, newton: bool) -> bool:
+    def step(
+        self, g: np.ndarray, hess_agg: np.ndarray, grads: np.ndarray, gap_rel: float, newton: bool
+    ) -> bool:
         """Take one step that lowers the objective (a Newton step may also
-        leave it unchanged at rounding level); False when neither can.
+        leave it unchanged at rounding level); False when neither can. g and
+        hess_agg are the objective's gradient and Hessian in the aggregates
+        at the current point, and grads its block gradient.
 
         Newton comes first. Its predicted decrease shrinks quadratically near
         the optimum of the active blocks, but so does the gap near the global
@@ -268,7 +266,7 @@ class _FactoredBeam:
         """
         promise, direction = 0.0, None
         if newton:
-            direction = self.newton_direction()
+            direction = self.newton_direction(g, hess_agg)
             promise = -0.5 * direction[1]
             if not promise > NEWTON_FLOOR * self.f:
                 promise, direction = 0.0, None
@@ -284,15 +282,14 @@ class _FactoredBeam:
             return False
         return self.frank_wolfe_step(*(frank_wolfe or self.frank_wolfe_direction(grads))[:3])
 
-    def newton_direction(self) -> tuple[np.ndarray, float]:
+    def newton_direction(self, g: np.ndarray, hess_agg: np.ndarray) -> tuple[np.ndarray, float]:
         """(step, slope): the Newton step for psi on the tangent space of the
         sphere, with |lambda|-modified Hessian eigenvalues, and the
         directional derivative along it; -slope / 2 is the decrease that the
-        quadratic model predicts."""
+        quadratic model predicts. g and hess_agg are the gradient and Hessian
+        of the objective in the aggregates at the current point."""
         n, k = self.y.shape
-        z = np.array(self.kernel._aggregates(self.blocks))
-        g, hess_agg = self.kernel._aggregate_hessian(z, self.agg_scale)
-        coef = self.coef[self.active]
+        coef = self.kernel.coef[self.active]
         dx = _coordinate_jacobian(self.y)
         jz = np.einsum("nak,nkj->anj", coef, dx).reshape(8, n * k)
         gx = np.einsum("nak,a->nk", coef, g)
@@ -322,8 +319,8 @@ class _FactoredBeam:
         t = 1.0
         while t >= MIN_NEWTON_STEP:
             trial = self._evaluate(self.active, (y + t * step).reshape(self.y.shape))
-            if trial[2] <= self.f + ARMIJO_DECREASE * t * slope:
-                self.y, self.blocks, self.f = trial
+            if trial[3] <= self.f + ARMIJO_DECREASE * t * slope:
+                self.y, self.blocks, self.z, self.f = trial
                 return True
             t *= 0.5
         return False
@@ -333,10 +330,8 @@ class _FactoredBeam:
         the best mixing weight along the chord towards it, and the decrease
         that weight gives before the blocks are re-factored."""
         atom, tied = _oracle_atom(grads, self.budget)
-        z = np.array(self.kernel._aggregates(self.blocks))
-        dz = np.array(self.kernel._aggregates(atom)) - z
-        gamma, f_mixed = self._chord_search(z, dz)
-        return gamma, atom, tied, self.kernel._speb_from_aggregates(z) - f_mixed
+        gamma, f_mixed = self._chord_search(self.kernel._aggregates(atom) - self.z)
+        return gamma, atom, tied, self.f - f_mixed
 
     def frank_wolfe_step(self, gamma: float, atom: np.ndarray, tied: np.ndarray) -> bool:
         """Mix the atom in with weight gamma and re-factor; False unless the
@@ -348,17 +343,17 @@ class _FactoredBeam:
         carries[self.active] = carries[tied] = True
         active = np.flatnonzero(carries)
         trial = self._evaluate(active, _factor(mixed[active]))
-        if not trial[2] < self.f:
+        if not trial[3] < self.f:
             return False
         self.active = active
-        self.y, self.blocks, self.f = trial
+        self.y, self.blocks, self.z, self.f = trial
         return True
 
-    def _chord_search(self, z: np.ndarray, dz: np.ndarray) -> tuple[float, float]:
+    def _chord_search(self, dz: np.ndarray) -> tuple[float, float]:
         """(minimizer, minimum) over [0, 1] of the convex phi(gamma) =
-        speb(z + gamma dz), by safeguarded Newton on phi' with phi'' from a
-        complex step."""
-        kernel = self.kernel
+        speb(z + gamma dz) from the current aggregates z, by safeguarded
+        Newton on phi' with phi'' from a complex step."""
+        kernel, z = self.kernel, self.z
 
         def slope_and_curvature(gamma):
             g = kernel._aggregate_gradient(z + gamma * dz + 1e-20j * dz)
@@ -367,7 +362,7 @@ class _FactoredBeam:
         slope0, curv = slope_and_curvature(0.0)
         lo, hi = 0.0, 1.0
         gamma = min(1.0, -slope0 / curv) if curv > 0.0 else 1.0
-        best, best_f = 0.0, kernel._speb_from_aggregates(z)
+        best, best_f = 0.0, self.f
         for _ in range(60):
             f = kernel._speb_from_aggregates(z + gamma * dz)
             if not np.isfinite(f):
@@ -442,7 +437,8 @@ def optimize(
     iters = 0
     flat = 0
     while True:
-        grads = kernel.gradient(beam.blocks)
+        g, hess_agg = kernel._aggregate_hessian(beam.z, beam.agg_scale)
+        grads = kernel.block_gradient(g)
         grad_norm = float(np.linalg.norm(grads))
         kkt_rel, gap_rel = residuals(beam.blocks, beam.f, grads, grad_norm)
         if gap_rel <= opts.gap_tol:
@@ -455,7 +451,7 @@ def optimize(
             exit_reason = "max_iters"
             break
         f_before = beam.f
-        if not beam.step(grads, gap_rel, newton=flat < MAX_FLAT_STEPS):
+        if not beam.step(g, hess_agg, grads, gap_rel, newton=flat < MAX_FLAT_STEPS):
             exit_reason = "stalled"
             break
         flat = flat + 1 if beam.f == f_before else 0

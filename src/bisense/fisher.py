@@ -19,11 +19,14 @@ the optimizer works on.
 
 The blocks enter the information matrix only through eight linear
 aggregates, and the matrix is a fixed linear map of them. ``_Kernel`` holds
-that one closed form: ``fim_xform`` returns its 5x5 matrix, ``fim_entrywise``
-the matrix with its effective forms and bounds, and the solver its effective
-3x3 form. ``fim_from_derivatives`` (raw derivative outer products over
-explicit pilot vectors) never touches the closed form and is the oracle that
-tests and ``bisense validate`` check it against.
+that one closed form. Its coefficient array ``coef`` is the one definition of
+the aggregates: ``_aggregates`` contracts it with the blocks' real
+coordinates, and ``gradient`` maps back through its adjoint. ``fim_xform``
+returns the 5x5 matrix, ``fim_entrywise`` the matrix with its effective forms
+and bounds, and the solver its effective 3x3 form. ``fim_from_derivatives``
+(raw derivative outer products over explicit pilot vectors) never touches the
+closed form and is the oracle that tests and ``bisense validate`` check it
+against.
 """
 
 from __future__ import annotations
@@ -349,15 +352,27 @@ def _trace_inverse_guarded(A: np.ndarray) -> float:
     return float("inf") if singular else value
 
 
+def _coordinates(blocks: np.ndarray) -> np.ndarray:
+    """(P, k) real coordinates of each block: (b11, b22, Re b21, Im b21), or
+    (b11,) for 1x1 blocks."""
+    if blocks.shape[1] == 1:
+        return blocks[:, 0, :].real
+    b21 = blocks[:, 1, 0]
+    return np.stack([blocks[:, 0, 0].real, blocks[:, 1, 1].real, b21.real, b21.imag], axis=-1)
+
+
 @dataclass(eq=False)
 class _Kernel:
     """Scenario constants of the closed-form information matrix.
 
     The blocks enter the information matrix only through the eight linear
-    aggregates z = (s0, s1, s2, s3, t0, d_re, d_im, cw) of _aggregates. The
-    5x5 matrix is a fixed linear map of z (fim), and the effective 3x3 form
-    and its position information are closed forms in z (_efim), so repeated
-    objective and gradient evaluations never rebuild steering vectors.
+    aggregates z = (s0, s1, s2, s3, t0, d_re, d_im, cw). coef (P, 8, k) is
+    their one definition: z = sum_p coef[p] @ x_p, with x_p the real
+    coordinates of block p (_coordinates). _aggregates is that contraction
+    and block_gradient its adjoint. The 5x5 matrix is a fixed linear map of
+    z (fim), and the effective 3x3 form and its position information are
+    closed forms in z (_efim), so repeated objective and gradient
+    evaluations never rebuild steering vectors.
 
     The arrays enter only through the derivative norms, which are linear in
     frequency: build evaluates one steering pair per terminal at the carrier
@@ -365,9 +380,9 @@ class _Kernel:
     (exactly 1.0 for narrowband scenes).
     """
 
-    omegas: np.ndarray  # (P,)
     nda_t: np.ndarray  # (P,) transmit derivative norms
     nda_r: np.ndarray  # (P,) receive derivative norms
+    coef: np.ndarray  # (P, 8, k) aggregates per block coordinate
     c0: float  # kappa n_rx n_tx
     r0: float  # kappa n_rx sqrt(n_tx)
     c1: float  # kappa |g|^2 n_rx n_tx
@@ -386,14 +401,26 @@ class _Kernel:
         ratios = np.array(
             [_omega_total(scenario, w) / carrier for w in scenario.subcarrier_offsets]
         )
-        tx = steering(scenario.tx_array, geom.theta_t, carrier)
-        rx = steering(scenario.rx_array, geom.theta_r, carrier)
+        omegas = np.array(scenario.subcarrier_offsets, dtype=float)
+        nda_t = steering(scenario.tx_array, geom.theta_t, carrier).norm_a_dot * ratios
+        nda_r = steering(scenario.rx_array, geom.theta_r, carrier).norm_a_dot * ratios
+        # coordinates (b11, b22, Re b21, Im b21); b11 only for 1x1 blocks
+        coef = np.zeros((len(omegas), 8, 4 if scenario.block_dim == 2 else 1))
+        coef[:, 0, 0] = 1.0  # s0
+        coef[:, 1, 0] = omegas  # s1
+        coef[:, 2, 0] = omegas**2  # s2
+        coef[:, 3, 0] = nda_r**2  # s3
+        if scenario.block_dim == 2:
+            coef[:, 4, 1] = nda_t**2  # t0
+            coef[:, 5, 2] = nda_t  # d_re
+            coef[:, 6, 3] = nda_t  # d_im
+            coef[:, 7, 3] = omegas * nda_t  # cw
         kappa = 2.0 / scenario.noise_power
         mag2 = abs(scenario.gain) ** 2
         return _Kernel(
-            omegas=np.array(scenario.subcarrier_offsets, dtype=float),
-            nda_t=tx.norm_a_dot * ratios,
-            nda_r=rx.norm_a_dot * ratios,
+            nda_t=nda_t,
+            nda_r=nda_r,
+            coef=coef,
             c0=kappa * scenario.n_rx * scenario.n_tx,
             r0=kappa * scenario.n_rx * np.sqrt(scenario.n_tx),
             c1=kappa * mag2 * scenario.n_rx * scenario.n_tx,
@@ -406,24 +433,9 @@ class _Kernel:
             block_dim=scenario.block_dim,
         )
 
-    def _aggregates(self, blocks: np.ndarray):
-        b11 = blocks[:, 0, 0].real
-        if self.block_dim == 2:
-            b22 = blocks[:, 1, 1].real
-            b21 = blocks[:, 1, 0]
-        else:
-            b22 = np.zeros_like(b11)
-            b21 = np.zeros_like(b11, dtype=complex)
-        return (
-            float(b11.sum()),  # s0
-            float((self.omegas * b11).sum()),  # s1
-            float((self.omegas**2 * b11).sum()),  # s2
-            float((self.nda_r**2 * b11).sum()),  # s3
-            float((self.nda_t**2 * b22).sum()),  # t0
-            float((self.nda_t * b21.real).sum()),  # d_re
-            float((self.nda_t * b21.imag).sum()),  # d_im
-            float((self.omegas * self.nda_t * b21.imag).sum()),  # cw
-        )
+    def _aggregates(self, blocks: np.ndarray) -> np.ndarray:
+        """The eight aggregates z of the blocks, shape (8,)."""
+        return np.einsum("pak,pk->a", self.coef, _coordinates(blocks))
 
     def fim(self, z) -> np.ndarray:
         """5x5 information matrix over [gain_re, gain_im, delay, aod, aoa] at
@@ -528,48 +540,34 @@ class _Kernel:
         hess = (out[1:].imag / h[:, None]).T
         return out[0].real, 0.5 * (hess + hess.T)
 
-    def _coefficients(self) -> np.ndarray:
-        """(P, 8, k) coefficients of the aggregates in each block's real
-        coordinates (b11, b22, Re b21, Im b21); k = 1 (b11 only) when
-        block_dim is 1."""
-        p_count = len(self.omegas)
-        coef = np.zeros((p_count, 8, 4 if self.block_dim == 2 else 1))
-        coef[:, 0, 0] = 1.0
-        coef[:, 1, 0] = self.omegas
-        coef[:, 2, 0] = self.omegas**2
-        coef[:, 3, 0] = self.nda_r**2
-        if self.block_dim == 2:
-            coef[:, 4, 1] = self.nda_t**2
-            coef[:, 5, 2] = self.nda_t
-            coef[:, 6, 3] = self.nda_t
-            coef[:, 7, 3] = self.omegas * self.nda_t
-        return coef
+    def block_gradient(self, g: np.ndarray) -> np.ndarray:
+        """Hermitian per-block gradients G_p of a function of the aggregates
+        whose partial derivatives are g, shape (8,): the adjoint of
+        _aggregates, so sum_p Re tr(G_p^H Delta_p) = g @ _aggregates(Delta).
+        """
+        gx = np.einsum("pak,a->pk", self.coef, g)
+        m = self.block_dim
+        grads = np.zeros((len(gx), m, m), dtype=complex)
+        grads[:, 0, 0] = gx[:, 0]
+        if m == 2:
+            grads[:, 1, 1] = gx[:, 1]
+            # Re tr(G^H Delta) counts the off-diagonal pair twice
+            cross = 0.5 * (gx[:, 2] + 1j * gx[:, 3])
+            grads[:, 1, 0] = cross
+            grads[:, 0, 1] = np.conj(cross)
+        return grads
 
     def gradient(self, blocks: np.ndarray) -> np.ndarray:
         """Hermitian per-block gradients G_p of the objective.
 
         Convention: d/dt speb(B + t Delta) at t=0 equals
-        sum_p Re tr(G_p^H Delta_p).
+        sum_p Re tr(G_p^H Delta_p). Raises SingularEFIM where the objective
+        is +inf.
         """
         z = self._aggregates(blocks)
-        if z[0] <= 0.0:
-            raise SingularEFIM("gradient undefined without steering-direction power")
-        A = self._position_fim(z)
-        det = A[0, 0] * A[1, 1] - A[0, 1] ** 2
-        if det <= 0.0 or not np.isfinite(det):
+        if not np.isfinite(self._speb_from_aggregates(z)):
             raise SingularEFIM("gradient undefined at a singular point")
-        g_s0, g_s1, g_s2, g_s3, g_t0, g_dre, g_dim, g_cw = self._aggregate_gradient(z)
-
-        p_count = len(self.omegas)
-        g_b11 = g_s0 + g_s1 * self.omegas + g_s2 * self.omegas**2 + g_s3 * self.nda_r**2
-        grads = np.zeros((p_count, self.block_dim, self.block_dim), dtype=complex)
-        grads[:, 0, 0] = g_b11
-        if self.block_dim == 2:
-            grads[:, 1, 1] = g_t0 * self.nda_t**2
-            cross = 0.5 * (g_dre + 1j * (g_dim + g_cw * self.omegas)) * self.nda_t
-            grads[:, 1, 0] = cross
-            grads[:, 0, 1] = np.conj(cross)
-        return grads
+        return self.block_gradient(self._aggregate_gradient(z))
 
 
 def _closed_form(scenario: Scenario, bc: BeamCovariance) -> tuple[np.ndarray, np.ndarray]:

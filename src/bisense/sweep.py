@@ -254,11 +254,10 @@ def role_sweep(
     grid: GridSpec | None = None,
     options: OptOptions | None = None,
     rcs_coeff_m: float = DEFAULT_RCS_COEFF_M,
-    tie_rel_tol: float = ROLE_TIE_REL_TOL,
 ) -> RoleSweepResult:
     """Sweep both role assignments and compare the optimized bounds.
 
-    A cell is a tie when the two bounds differ by less than tie_rel_tol in
+    A cell is a tie when the two bounds differ by less than ROLE_TIE_REL_TOL in
     relative terms, or when their SPEBs differ by no more than the sum of the
     two certified gaps, gap_f * pf^2 + gap_r * pr^2: by convexity each SPEB
     lies within its own gap of its optimum, so a smaller difference does not
@@ -272,7 +271,7 @@ def role_sweep(
     both = np.isfinite(pf) & np.isfinite(pr)
     sf, sr = pf**2, pr**2
     tie = both & (
-        (np.abs(pf - pr) <= tie_rel_tol * np.minimum(pf, pr))
+        (np.abs(pf - pr) <= ROLE_TIE_REL_TOL * np.minimum(pf, pr))
         | (np.abs(sf - sr) <= forward.gap * sf + reverse.gap * sr)
     )
     flag[both & ~tie & (pf < pr)] = 1

@@ -1,6 +1,7 @@
 """Optimizer tests: gradient against finite differences of the matrix route,
 projection against a generic QP solver, and structural facts about optima."""
 
+import collections
 import dataclasses
 
 import numpy as np
@@ -116,6 +117,33 @@ def test_gradient_real_cross_part_vanishes_on_pure_imag_cross(rng):
     assert np.any(grads[:, 1, 0].imag != 0.0)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {},
+        {"n_subcarriers": 8, "narrowband": False},
+        {"n_tx": 1, "n_subcarriers": 4},
+        {"n_tx": 1, "n_subcarriers": 4, "narrowband": False, "spacing_hz": 2.4e7},
+    ],
+    ids=["narrowband_2x2", "wideband_2x2", "narrowband_1x1", "wideband_1x1"],
+)
+def test_gradient_is_the_adjoint_of_the_aggregates(rng, kwargs):
+    """Re<G, Delta> equals the aggregate gradient times the aggregates of
+    Delta to rounding, not just to finite-difference accuracy. The scale is
+    the sum of the magnitudes of the eight products."""
+    sc = default_scenario(target=(6.0, 9.0), **kwargs)
+    kernel = _Kernel.build(sc)
+    bc = random_feasible_blocks(rng, sc, power_fraction=0.7, eig_floor=0.5)
+    assert well_conditioned(sc, bc)
+    grads = kernel.gradient(bc.blocks)
+    g = kernel._aggregate_gradient(kernel._aggregates(bc.blocks))
+    for _ in range(5):
+        delta = random_hermitian_direction(rng, bc.blocks.shape)
+        dz = kernel._aggregates(delta)
+        lhs = float(np.vdot(grads, delta).real)
+        assert abs(lhs - g @ dz) <= 1e-12 * (np.abs(g) @ np.abs(dz))
+
+
 def test_gradient_rejects_singular_point():
     sc = default_scenario(n_subcarriers=1, n_rx=1)
     bc = BeamCovariance.uniform(sc)
@@ -219,7 +247,7 @@ def test_shift_to_budget_invariants(lam, budget):
     arr = np.array(lam)
     if np.maximum(arr, 0.0).sum() <= budget:
         return  # shift is only ever called with the constraint active
-    out = _shift_to_budget(arr, budget, 0.0)
+    out = _shift_to_budget(arr, budget)
     assert np.all(out >= 0.0)
     assert abs(out.sum() - budget) <= 1e-10 * max(budget, 1.0)
     # uniform shift: strictly positive entries all moved by the same amount
@@ -523,6 +551,26 @@ def test_aggregate_hessian_matches_central_differences(rng):
         assert np.abs((hess - fd) * dimless).max() <= 1e-5 * ref
         assert np.allclose(hess, hess.T, rtol=0.0, atol=1e-14 * ref / dimless.max())
         checked += 1
+
+
+def test_cold_solve_takes_the_aggregate_gradient_once_per_pass(monkeypatch):
+    """Each pass of the solver loop gets the aggregate gradient and Hessian
+    from one call and maps the gradient to blocks through the adjoint, so the
+    block gradient is never evaluated from the blocks. The default scene
+    prices no Frank-Wolfe step, whose chord search would add calls."""
+    calls = collections.Counter()
+    for name in ("gradient", "_aggregate_gradient"):
+        original = getattr(_Kernel, name)
+
+        def counted(self, *args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(_Kernel, name, counted)
+    res = optimize(default_scenario())
+    assert res.converged
+    assert calls["gradient"] == 0
+    assert calls["_aggregate_gradient"] == res.iterations + 1
 
 
 def test_oracle_atom_beats_random_unit_vectors(rng):

@@ -55,7 +55,9 @@ def test_traced_cli_meets_the_tracer_contract(monkeypatch, tmp_path, capsys):
         # look bisense.cli.main up inside, where the tracer has wrapped it
         assert bisense.cli.main(["map", "--kind", "peb", *common]) == 0
         assert bisense.cli.main(["optimize-point", *common]) == 0
+        assert bisense.cli.main(["validate", "--config", str(config)]) == 0
     capsys.readouterr()
     assert tracer.missing("map_peb") == []
     assert tracer.missing("solve_wideband") == []
+    assert tracer.missing("validate") == []
     assert tracer.sweeps.cells_attempted == 6
