@@ -22,7 +22,6 @@ from .config import (
     GridConfig,
     RunConfig,
     ScenarioConfig,
-    SolverConfig,
     build_grid,
     build_options,
     build_scenario,
@@ -88,7 +87,6 @@ __all__ = [
     "Scenario",
     "ScenarioConfig",
     "SingularEFIM",
-    "SolverConfig",
     "SPEED_OF_LIGHT",
     "SteeringPair",
     "SweepResult",

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleScenario, InvalidAlpha
-from .fisher import BeamCovariance, Scenario, _Kernel, check_beam_covariance
+from .fisher import BeamCovariance, Scenario, _Kernel, _blocks, check_beam_covariance
 
 
 @dataclass(frozen=True)
@@ -156,6 +156,17 @@ MAX_FLAT_STEPS = 3  # Newton steps in a row that leave the objective unchanged
 ATOM_TIE_REL = 1e-9  # gradient blocks this close to the lowest eigenvalue share the atom
 
 
+# x_j = y^T _QUAD[j] y: the block coordinates (b11, b22, Re b21, Im b21) =
+# (l1^2, l2^2 + l3^2 + l4^2, l1 l3, l1 l4) of the factor y = (l1, l2, l3, l4)
+# (see _factor). Its [:1, :1, :1] corner serves 1x1 blocks, b11 = l1^2.
+_QUAD = np.zeros((4, 4, 4))
+_QUAD[0, 0, 0] = 1.0
+_QUAD[1, [1, 2, 3], [1, 2, 3]] = 1.0
+_QUAD[2, [0, 2], [2, 0]] = 0.5
+_QUAD[3, [0, 3], [3, 0]] = 0.5
+_QUAD.flags.writeable = False
+
+
 def _factor(blocks: np.ndarray) -> np.ndarray:
     """Factors y of PSD blocks, B = L L^H with L = [[l1, 0], [l3 + j l4, l2]]
     and y = (l1, l2, l3, l4); a 1x1 block gives y = (l1,). Rank one and rank
@@ -167,34 +178,6 @@ def _factor(blocks: np.ndarray) -> np.ndarray:
     c = np.where(l1 > 0.0, blocks[:, 1, 0] / safe, 0.0)
     l2 = np.sqrt(np.maximum(blocks[:, 1, 1].real - np.abs(c) ** 2, 0.0))
     return np.stack([l1, l2, c.real, c.imag], axis=-1)
-
-
-def _coordinate_jacobian(y: np.ndarray) -> np.ndarray:
-    """(n, k, k) derivatives of each block's coordinates (b11, b22, Re b21,
-    Im b21) = (l1^2, l2^2 + l3^2 + l4^2, l1 l3, l1 l4) in its factor."""
-    n, k = y.shape
-    jac = np.zeros((n, k, k))
-    jac[:, 0, 0] = 2.0 * y[:, 0]
-    if k == 4:
-        l1, l2, l3, l4 = y.T
-        jac[:, 1, 1:] = 2.0 * y[:, 1:]
-        jac[:, 2, 0], jac[:, 2, 2] = l3, l1
-        jac[:, 3, 0], jac[:, 3, 3] = l4, l1
-    return jac
-
-
-def _coordinate_curvature(gx: np.ndarray) -> np.ndarray:
-    """(n, k, k) sum_j gx_j * Hessian of coordinate j in the factor; each
-    coordinate is a fixed quadratic, so this depends on gx only."""
-    n, k = gx.shape
-    curv = np.zeros((n, k, k))
-    curv[:, 0, 0] = 2.0 * gx[:, 0]
-    if k == 4:
-        for i in (1, 2, 3):
-            curv[:, i, i] = 2.0 * gx[:, 1]
-        curv[:, 0, 2] = curv[:, 2, 0] = gx[:, 2]
-        curv[:, 0, 3] = curv[:, 3, 0] = gx[:, 3]
-    return curv
 
 
 def _oracle_atom(grads: np.ndarray, budget: float) -> tuple[np.ndarray, np.ndarray]:
@@ -221,8 +204,11 @@ class _FactoredBeam:
     zero elsewhere, and sum ||y||^2 = budget is the total power. On that
     sphere psi(y) = speb(B(y)) ||y||^2 / budget equals the objective and is
     invariant under scaling y, because the SPEB is homogeneous of degree -1
-    in the blocks. The beam carries its blocks' eight aggregates z next to
-    their objective f, so each point is mapped to the aggregates once.
+    in the blocks. The block coordinates are quadratic forms x_j = y^T Q_j y
+    with the constant Q = _QUAD, whose Jacobian 2 Q y and curvature
+    2 sum_j gx_j Q_j the Newton step uses. The beam carries its blocks'
+    eight aggregates z next to their objective f, so each point is mapped
+    to the aggregates once.
     """
 
     def __init__(self, kernel: _Kernel, blocks: np.ndarray):
@@ -231,6 +217,8 @@ class _FactoredBeam:
         self.shape = blocks.shape
         scale = self.budget * np.abs(kernel.coef).max(axis=(0, 2))
         self.agg_scale = np.where(scale > 0.0, scale, 1.0)
+        k = kernel.coef.shape[2]
+        self.quad = _QUAD[:k, :k, :k]
         active = np.flatnonzero(np.trace(blocks, axis1=1, axis2=2).real > 0.0)
         self.active = active
         self.y, self.blocks, self.z, self.f = self._evaluate(active, _factor(blocks[active]))
@@ -239,14 +227,10 @@ class _FactoredBeam:
         """(y scaled onto the sphere, its blocks, their aggregates, their
         objective)."""
         y = y * (np.sqrt(self.budget) / np.linalg.norm(y))
+        x = np.einsum("na,jab,nb->nj", y, self.quad, y)
         blocks = np.zeros(self.shape, dtype=complex)
-        blocks[active, 0, 0] = y[:, 0] ** 2
-        if self.shape[1] == 2:
-            c = y[:, 2] + 1j * y[:, 3]
-            blocks[active, 1, 0] = y[:, 0] * c
-            blocks[active, 0, 1] = y[:, 0] * c.conj()
-            blocks[active, 1, 1] = y[:, 1] ** 2 + y[:, 2] ** 2 + y[:, 3] ** 2
-        z = self.kernel._aggregates(blocks)
+        blocks[active] = _blocks(x)
+        z = np.einsum("pak,pk->a", self.kernel.coef[active], x)
         return y, blocks, z, self.kernel._speb_from_aggregates(z)
 
     def step(
@@ -290,14 +274,14 @@ class _FactoredBeam:
         of the objective in the aggregates at the current point."""
         n, k = self.y.shape
         coef = self.kernel.coef[self.active]
-        dx = _coordinate_jacobian(self.y)
+        dx = 2.0 * np.einsum("jab,nb->nja", self.quad, self.y)
         jz = np.einsum("nak,nkj->anj", coef, dx).reshape(8, n * k)
         gx = np.einsum("nak,a->nk", coef, g)
         grad = np.einsum("nkj,nk->nj", dx, gx).ravel()
         # Hessian of psi: J^T H_F J + sum_k g_k Hess(z_k) + (2 f / budget) I
         hess = jz.T @ hess_agg @ jz
         idx = np.arange(n)
-        hess.reshape(n, k, n, k)[idx, :, idx, :] += _coordinate_curvature(gx)
+        hess.reshape(n, k, n, k)[idx, :, idx, :] += 2.0 * np.einsum("nj,jab->nab", gx, self.quad)
         hess[np.diag_indices(n * k)] += 2.0 * self.f / self.budget
 
         y = self.y.ravel()
@@ -414,8 +398,10 @@ def optimize(
         )
 
     if initial is not None:
+        # no projection: _FactoredBeam clamps the factor and scales it onto
+        # the budget sphere
         check_beam_covariance(initial, scenario)
-        blocks = project_feasible(initial, budget).blocks
+        blocks = initial.blocks
     else:
         blocks = _outer_equal_split(scenario)
     if not np.isfinite(kernel.speb(blocks)):

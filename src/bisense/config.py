@@ -44,14 +44,6 @@ class ScenarioConfig:
 
 
 @dataclass(frozen=True)
-class SolverConfig:
-    max_iters: int = 5000
-    grad_tol: float = 1e-7
-    gap_tol: float = 1e-8
-    rank_tol: float = 1e-4
-
-
-@dataclass(frozen=True)
 class GridConfig:
     x_min_m: float = -40.0
     x_max_m: float = 40.0
@@ -66,7 +58,7 @@ class GridConfig:
 @dataclass(frozen=True)
 class RunConfig:
     scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
-    solver: SolverConfig = field(default_factory=SolverConfig)
+    solver: OptOptions = field(default_factory=OptOptions)
     grid: GridConfig = field(default_factory=GridConfig)
     out_dir: str | None = None
 
@@ -130,7 +122,7 @@ def config_from_dict(data: dict | None) -> RunConfig:
         raise ConfigError(f"config root: unknown key(s) {unknown}")
     return RunConfig(
         scenario=_coerce_section(ScenarioConfig, data.get("scenario"), "scenario"),
-        solver=_coerce_section(SolverConfig, data.get("solver"), "solver"),
+        solver=_coerce_section(OptOptions, data.get("solver"), "solver"),
         grid=_coerce_section(GridConfig, data.get("grid"), "grid"),
         out_dir=_coerce_scalar(data.get("out_dir"), "str | None", "out_dir"),
     )
@@ -225,7 +217,4 @@ def build_grid(config: RunConfig) -> GridSpec:
 
 
 def build_options(config: RunConfig) -> OptOptions:
-    s = config.solver
-    return OptOptions(
-        max_iters=s.max_iters, grad_tol=s.grad_tol, gap_tol=s.gap_tol, rank_tol=s.rank_tol
-    )
+    return config.solver

@@ -18,10 +18,11 @@ conj(a_dot_t); the 2x2 coefficient matrices B_p are the beam covariances
 the optimizer works on.
 
 The blocks enter the information matrix only through eight linear
-aggregates, and the matrix is a fixed linear map of them. ``_Kernel`` holds
-that one closed form. Its coefficient array ``coef`` is the one definition of
-the aggregates: ``_aggregates`` contracts it with the blocks' real
-coordinates, and ``gradient`` maps back through its adjoint. ``fim_xform``
+aggregates, and the matrix is linear in them. ``_Kernel`` holds that one
+closed form as two constant arrays: ``coef`` maps the blocks' real
+coordinates to the aggregates, and ``info`` maps the aggregates to the 5x5
+matrix. The effective forms are Schur complements of its gain block, and the
+gradients follow by the chain rule through the two maps. ``fim_xform``
 returns the 5x5 matrix, ``fim_entrywise`` the matrix with its effective forms
 and bounds, and the solver its effective 3x3 form. ``fim_from_derivatives``
 (raw derivative outer products over explicit pilot vectors) never touches the
@@ -315,16 +316,13 @@ def _trace_inverse_2x2(a_mat: np.ndarray) -> tuple[float, bool]:
     return float((a + d) / det), False
 
 
-def _schur_reduce(J11: np.ndarray, J12: np.ndarray, J22: np.ndarray) -> np.ndarray:
-    """J22 minus the gain-uncertainty penalty J12^T J11^{-1} J12.
-
-    J11 is a positive multiple of the identity by construction; a zero gain
-    block means zero cross terms too, so the penalty is dropped.
-    """
-    j11 = J11[0, 0]
-    if j11 <= 0.0:
-        return J22.copy()
-    return J22 - (J12.T @ J12) / j11
+def _schur(J: np.ndarray) -> np.ndarray:
+    """Effective (delay, aod, aoa) information of (..., 5, 5) matrices whose
+    gain block is j11 times the identity: J22 - J12^T J12 / j11, the Schur
+    complement of the gain block. Every operation is analytic, so complex J
+    is fine."""
+    J12 = J[..., :2, 2:]
+    return J[..., 2:, 2:] - J12.swapaxes(-1, -2) @ J12 / J[..., 0, 0, None, None]
 
 
 def _known_gain_reduce(
@@ -361,38 +359,45 @@ def _coordinates(blocks: np.ndarray) -> np.ndarray:
     return np.stack([blocks[:, 0, 0].real, blocks[:, 1, 1].real, b21.real, b21.imag], axis=-1)
 
 
+def _blocks(x: np.ndarray) -> np.ndarray:
+    """Hermitian blocks with real coordinates x, shape (P, k): the inverse of
+    _coordinates."""
+    m = 1 if x.shape[1] == 1 else 2
+    blocks = np.empty((len(x), m, m), dtype=complex)
+    blocks[:, 0, 0] = x[:, 0]
+    if m == 2:
+        blocks[:, 1, 1] = x[:, 1]
+        blocks[:, 1, 0] = x[:, 2] + 1j * x[:, 3]
+        blocks[:, 0, 1] = x[:, 2] - 1j * x[:, 3]
+    return blocks
+
+
 @dataclass(eq=False)
 class _Kernel:
     """Scenario constants of the closed-form information matrix.
 
     The blocks enter the information matrix only through the eight linear
-    aggregates z = (s0, s1, s2, s3, t0, d_re, d_im, cw). coef (P, 8, k) is
-    their one definition: z = sum_p coef[p] @ x_p, with x_p the real
-    coordinates of block p (_coordinates). _aggregates is that contraction
-    and block_gradient its adjoint. The 5x5 matrix is a fixed linear map of
-    z (fim), and the effective 3x3 form and its position information are
-    closed forms in z (_efim), so repeated objective and gradient
-    evaluations never rebuild steering vectors.
+    aggregates z = (s0, s1, s2, s3, t0, d_re, d_im, cw), and two constant
+    arrays are the closed form: coef (P, 8, k) defines z = sum_p coef[p] @
+    x_p, with x_p the real coordinates of block p (_coordinates), and info
+    (8, 5, 5) holds the matrix each aggregate contributes, fim(z) = sum_a
+    z_a info[a]. The rest is generic linear algebra: contractions, their
+    adjoints (block_gradient, _aggregate_gradient) and the Schur complement
+    of the gain block (_schur). fim_from_derivatives touches neither array
+    and is the oracle they are checked against.
 
-    The arrays enter only through the derivative norms, which are linear in
-    frequency: build evaluates one steering pair per terminal at the carrier
-    and scales its norm by omega_total / omega_carrier for each subcarrier
-    (exactly 1.0 for narrowband scenes).
+    The antenna arrays enter only through the derivative norms, which are
+    linear in frequency: build evaluates one steering pair per terminal at
+    the carrier and scales its norm by omega_total / omega_carrier for each
+    subcarrier (exactly 1.0 for narrowband scenes).
     """
 
     nda_t: np.ndarray  # (P,) transmit derivative norms
     nda_r: np.ndarray  # (P,) receive derivative norms
     coef: np.ndarray  # (P, 8, k) aggregates per block coordinate
-    c0: float  # kappa n_rx n_tx
-    r0: float  # kappa n_rx sqrt(n_tx)
-    c1: float  # kappa |g|^2 n_rx n_tx
-    c2: float  # kappa |g|^2 n_rx sqrt(n_tx)
-    c3: float  # kappa |g|^2 n_rx
-    c4: float  # kappa |g|^2 n_tx
-    gain: complex
+    info: np.ndarray  # (8, 5, 5) information matrix per aggregate, with the gain
     jac: np.ndarray  # (2,3) position Jacobian
     budget: float
-    block_dim: int
 
     @staticmethod
     def build(scenario: Scenario) -> "_Kernel":
@@ -415,22 +420,32 @@ class _Kernel:
             coef[:, 5, 2] = nda_t  # d_re
             coef[:, 6, 3] = nda_t  # d_im
             coef[:, 7, 3] = omegas * nda_t  # cw
+        # per aggregate, its 5x5 matrix over [gain_re, gain_im, delay, aod, aoa]:
+        # a^T conj(a_dot) = 0 in the steering/derivative basis leaves nine entries
+        g = complex(scenario.gain)
         kappa = 2.0 / scenario.noise_power
-        mag2 = abs(scenario.gain) ** 2
+        mag2 = abs(g) ** 2
+        n_rx, n_tx = scenario.n_rx, scenario.n_tx
+        c0 = kappa * n_rx * n_tx
+        r0 = kappa * n_rx * np.sqrt(n_tx)
+        info = np.zeros((8, 5, 5))
+        info[0, 0, 0] = info[0, 1, 1] = c0  # s0
+        info[1, 0, 2] = info[1, 2, 0] = c0 * g.imag  # s1
+        info[1, 1, 2] = info[1, 2, 1] = -c0 * g.real
+        info[2, 2, 2] = kappa * mag2 * n_rx * n_tx  # s2
+        info[3, 4, 4] = kappa * mag2 * n_tx  # s3
+        info[4, 3, 3] = kappa * mag2 * n_rx  # t0
+        info[5, 0, 3] = info[5, 3, 0] = info[6, 1, 3] = info[6, 3, 1] = r0 * g.real  # d_re, d_im
+        info[5, 1, 3] = info[5, 3, 1] = r0 * g.imag
+        info[6, 0, 3] = info[6, 3, 0] = -r0 * g.imag
+        info[7, 2, 3] = info[7, 3, 2] = -kappa * mag2 * n_rx * np.sqrt(n_tx)  # cw
         return _Kernel(
             nda_t=nda_t,
             nda_r=nda_r,
             coef=coef,
-            c0=kappa * scenario.n_rx * scenario.n_tx,
-            r0=kappa * scenario.n_rx * np.sqrt(scenario.n_tx),
-            c1=kappa * mag2 * scenario.n_rx * scenario.n_tx,
-            c2=kappa * mag2 * scenario.n_rx * np.sqrt(scenario.n_tx),
-            c3=kappa * mag2 * scenario.n_rx,
-            c4=kappa * mag2 * scenario.n_tx,
-            gain=complex(scenario.gain),
+            info=info,
             jac=geom.jacobian,
             budget=scenario.power_budget,
-            block_dim=scenario.block_dim,
         )
 
     def _aggregates(self, blocks: np.ndarray) -> np.ndarray:
@@ -439,40 +454,16 @@ class _Kernel:
 
     def fim(self, z) -> np.ndarray:
         """5x5 information matrix over [gain_re, gain_im, delay, aod, aoa] at
-        the aggregates z. With the blocks in the steering/derivative basis,
-        a^T conj(a_dot) = 0 leaves nine nonzero entries, each linear in z."""
-        s0, s1, s2, s3, t0, d_re, d_im, cw = z
-        g = self.gain
-        d = g * complex(d_re, d_im)
-        j11 = self.c0 * s0
-        j13 = self.c0 * g.imag * s1
-        j23 = -self.c0 * g.real * s1
-        j14 = self.r0 * d.real
-        j24 = self.r0 * d.imag
-        j34 = -self.c2 * cw
-        return np.array(
-            [
-                [j11, 0.0, j13, j14, 0.0],
-                [0.0, j11, j23, j24, 0.0],
-                [j13, j23, self.c1 * s2, j34, 0.0],
-                [j14, j24, j34, self.c3 * t0, 0.0],
-                [0.0, 0.0, 0.0, 0.0, self.c4 * s3],
-            ]
-        )
+        the aggregates z, shape (8,) or (n, 8); the result has shape (5, 5)
+        or (n, 5, 5). Linear, so complex z is fine."""
+        z = np.asarray(z)
+        return (z @ self.info.reshape(8, 25)).reshape(z.shape[:-1] + (5, 5))
 
     def _efim(self, z) -> np.ndarray:
         """Effective 3x3 information, shape (3, 3) or (n, 3, 3), at
-        aggregates z of shape (8,) or (n, 8): the Schur complement of
-        fim(z)'s gain block, in closed form. Every operation is analytic, so
-        complex z is fine. No domain checks: s0 must be nonzero."""
-        z = np.asarray(z)
-        s0, s1, s2, s3, t0, d_re, d_im, cw = z.T
-        E = np.zeros(z.shape[:-1] + (3, 3), z.dtype)
-        E[..., 0, 0] = self.c1 * (s2 - s1 * s1 / s0)
-        E[..., 0, 1] = E[..., 1, 0] = self.c2 * (s1 * d_im / s0 - cw)
-        E[..., 1, 1] = self.c3 * (t0 - (d_re * d_re + d_im * d_im) / s0)
-        E[..., 2, 2] = self.c4 * s3
-        return E
+        aggregates z of shape (8,) or (n, 8). Analytic, so complex z is fine.
+        No domain checks: s0 must be nonzero."""
+        return _schur(self.fim(z))
 
     def _position_fim(self, z) -> np.ndarray:
         return self.jac @ self._efim(z) @ self.jac.T
@@ -496,35 +487,27 @@ class _Kernel:
         """Partial derivatives of the objective in the aggregates.
 
         z has shape (8,) or (n, 8) in the order of _aggregates; the result
-        has the same shape. Every operation is analytic, so complex z gives
-        exact second derivatives by complex-step differentiation. No domain
-        checks.
+        has the same shape. It is the chain rule through tr(A^-1), A = K J_e
+        K^T, _schur and info: with p3 = K^T A^-2 K and M = J12 p3 / j11,
+        g = 2 <M, info[:, :2, 2:]> - <p3, info[:, 2:, 2:]>
+            - <M, J12 / j11> info[:, 0, 0].
+        Every operation is analytic, so complex z gives exact second
+        derivatives by complex-step differentiation. No domain checks.
         """
-        s0, s1, s2, s3, t0, d_re, d_im, cw = np.asarray(z).T
-        A = self._position_fim(z)
+        J = self.fim(z)
+        j11 = J[..., 0, 0, None, None]
+        J12 = J[..., :2, 2:]
+        A = self.jac @ _schur(J) @ self.jac.T
         a, b, d = A[..., 0, 0], A[..., 0, 1], A[..., 1, 1]
         inv = np.stack([np.stack([d, -b], -1), np.stack([-b, a], -1)], -2)
         inv /= (a * d - b * b)[..., None, None]
-        p3 = self.jac.T @ (inv @ inv) @ self.jac  # 3x3 sensitivity carrier
-
-        g_e11 = -p3[..., 0, 0]
-        g_e12 = -2.0 * p3[..., 0, 1]
-        g_e22 = -p3[..., 1, 1]
-        g_e33 = -p3[..., 2, 2]
-
-        g_s0 = (
-            g_e11 * self.c1 * s1 * s1 / s0**2
-            - g_e12 * self.c2 * s1 * d_im / s0**2
-            + g_e22 * self.c3 * (d_re * d_re + d_im * d_im) / s0**2
+        p3 = self.jac.T @ (inv @ inv) @ self.jac
+        M = J12 @ p3 / j11
+        return (
+            2.0 * np.einsum("...ij,aij->...a", M, self.info[:, :2, 2:])
+            - np.einsum("...ij,aij->...a", p3, self.info[:, 2:, 2:])
+            - np.einsum("...ij,...ij->...", M, J12 / j11)[..., None] * self.info[:, 0, 0]
         )
-        g_s1 = -2.0 * g_e11 * self.c1 * s1 / s0 + g_e12 * self.c2 * d_im / s0
-        g_s2 = g_e11 * self.c1
-        g_s3 = g_e33 * self.c4
-        g_t0 = g_e22 * self.c3
-        g_dre = -2.0 * g_e22 * self.c3 * d_re / s0
-        g_dim = g_e12 * self.c2 * s1 / s0 - 2.0 * g_e22 * self.c3 * d_im / s0
-        g_cw = -g_e12 * self.c2
-        return np.stack([g_s0, g_s1, g_s2, g_s3, g_t0, g_dre, g_dim, g_cw], axis=-1)
 
     def _aggregate_hessian(self, z: np.ndarray, scale: np.ndarray):
         """(gradient, 8x8 Hessian) in the aggregates at real z.
@@ -546,16 +529,9 @@ class _Kernel:
         _aggregates, so sum_p Re tr(G_p^H Delta_p) = g @ _aggregates(Delta).
         """
         gx = np.einsum("pak,a->pk", self.coef, g)
-        m = self.block_dim
-        grads = np.zeros((len(gx), m, m), dtype=complex)
-        grads[:, 0, 0] = gx[:, 0]
-        if m == 2:
-            grads[:, 1, 1] = gx[:, 1]
-            # Re tr(G^H Delta) counts the off-diagonal pair twice
-            cross = 0.5 * (gx[:, 2] + 1j * gx[:, 3])
-            grads[:, 1, 0] = cross
-            grads[:, 0, 1] = np.conj(cross)
-        return grads
+        # Re tr(G^H Delta) counts the off-diagonal pair twice
+        gx[:, 2:] *= 0.5
+        return _blocks(gx)
 
     def gradient(self, blocks: np.ndarray) -> np.ndarray:
         """Hermitian per-block gradients G_p of the objective.
@@ -601,7 +577,8 @@ def bundle_from_fim(J: np.ndarray, jacobian: np.ndarray, gain: complex) -> Fishe
     J11 = J[:2, :2].copy()
     J12 = J[:2, 2:].copy()
     J22 = J[2:, 2:].copy()
-    J_e = _schur_reduce(J11, J12, J22)
+    # a zero gain block means zero cross terms too, so there is no penalty
+    J_e = J22.copy() if J11[0, 0] <= 0.0 else _schur(J)
     pos_fim = jacobian @ J_e @ jacobian.T
     speb, singular = _trace_inverse_2x2(pos_fim)
 

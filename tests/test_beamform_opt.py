@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bisense import fisher
+from bisense import beamform_opt, fisher
 from bisense.beamform_opt import (
     EXIT_REASONS,
+    _QUAD,
     OptOptions,
     _FactoredBeam,
     _Kernel,
@@ -25,7 +26,7 @@ from bisense.beamform_opt import (
 )
 from bisense.config import RunConfig, ScenarioConfig, build_scenario
 from bisense.errors import InfeasibleScenario, InvalidAlpha, SingularEFIM
-from bisense.fisher import BeamCovariance
+from bisense.fisher import BeamCovariance, _blocks, _coordinates
 from bisense.geometry import Position2D
 
 from conftest import (
@@ -142,6 +143,33 @@ def test_gradient_is_the_adjoint_of_the_aggregates(rng, kwargs):
         dz = kernel._aggregates(delta)
         lhs = float(np.vdot(grads, delta).real)
         assert abs(lhs - g @ dz) <= 1e-12 * (np.abs(g) @ np.abs(dz))
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {},
+        {"n_subcarriers": 8, "narrowband": False},
+        {"n_tx": 1, "n_subcarriers": 4},
+        {"n_tx": 1, "n_subcarriers": 4, "narrowband": False, "spacing_hz": 2.4e7},
+    ],
+    ids=["narrowband_2x2", "wideband_2x2", "narrowband_1x1", "wideband_1x1"],
+)
+def test_aggregate_gradient_matches_complex_step(rng, kwargs):
+    """The chain rule in _aggregate_gradient against the complex-step
+    derivative of tr(inv(_position_fim)) along aggregate directions, which
+    takes no difference and so agrees to rounding."""
+    sc = default_scenario(target=(6.0, 9.0), **kwargs)
+    kernel = _Kernel.build(sc)
+    bc = random_feasible_blocks(rng, sc, power_fraction=0.7, eig_floor=0.5)
+    assert well_conditioned(sc, bc)
+    z = kernel._aggregates(bc.blocks)
+    g = kernel._aggregate_gradient(z)
+    for _ in range(5):
+        dz = kernel._aggregates(sc.power_budget * random_hermitian_direction(rng, bc.blocks.shape))
+        h = 1e-20
+        probe = np.trace(np.linalg.inv(kernel._position_fim(z + 1j * h * dz)))
+        assert abs(probe.imag / h - g @ dz) <= 1e-12 * (np.abs(g) @ np.abs(dz))
 
 
 def test_gradient_rejects_singular_point():
@@ -571,6 +599,42 @@ def test_cold_solve_takes_the_aggregate_gradient_once_per_pass(monkeypatch):
     assert res.converged
     assert calls["gradient"] == 0
     assert calls["_aggregate_gradient"] == res.iterations + 1
+
+
+@pytest.mark.parametrize("k", [4, 1])
+def test_quad_gives_the_coordinates_of_the_factor(rng, k):
+    """y^T Q_j y are the coordinates of L L^H for the factor y, and _blocks
+    inverts _coordinates on Hermitian blocks."""
+    y = rng.normal(size=(6, k))
+    L = np.zeros((6, 2, 2), dtype=complex)
+    L[:, 0, 0] = y[:, 0]
+    if k == 4:
+        L[:, 1, 1] = y[:, 1]
+        L[:, 1, 0] = y[:, 2] + 1j * y[:, 3]
+    m = 2 if k == 4 else 1
+    B = (L @ L.conj().transpose(0, 2, 1))[:, :m, :m]
+    x = np.einsum("na,jab,nb->nj", y, _QUAD[:k, :k, :k], y)
+    assert np.allclose(x, _coordinates(B), rtol=0.0, atol=1e-14 * np.abs(x).max())
+    H = rng.normal(size=(6, m, m)) + 1j * rng.normal(size=(6, m, m))
+    H = 0.5 * (H + H.conj().transpose(0, 2, 1))
+    assert np.array_equal(_blocks(_coordinates(H)), H)
+
+
+def test_optimize_projects_once_per_certificate(monkeypatch):
+    """A checked initial beam is used as given: the only projections are
+    those of the stationarity certificate, one per pass of the loop."""
+    calls = collections.Counter()
+    original = beamform_opt.project_feasible
+
+    def counted(*args):
+        calls["project_feasible"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(beamform_opt, "project_feasible", counted)
+    sc = default_scenario()
+    res = optimize(sc, initial=BeamCovariance.uniform(sc))
+    assert res.converged
+    assert calls["project_feasible"] == res.iterations + 1
 
 
 def test_oracle_atom_beats_random_unit_vectors(rng):

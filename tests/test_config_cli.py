@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
+import bisense
 from bisense import config as config_module
 from bisense import validate
 from bisense.cli import (
@@ -40,6 +41,12 @@ from bisense.validate import format_results, run_validation
 from conftest import default_scenario
 
 BENCH_SPEB = 0.40918482760957464
+
+
+def test_star_import_resolves_every_exported_name():
+    namespace = {}
+    exec("from bisense import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(bisense.__all__)
 
 
 # -----------------------------------------------------------------------------

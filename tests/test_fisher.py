@@ -88,6 +88,24 @@ def test_kernel_norms_match_per_subcarrier_steering(kwargs):
         assert not kernel.nda_t.any()
 
 
+def test_fim_contracts_stacked_aggregates(rng):
+    """fim takes aggregates of shape (n, 8) and returns the stack of the
+    per-row matrices, each symmetric."""
+    for _ in range(10):
+        scn = random_scenario(rng)
+        kernel = _Kernel.build(scn)
+        Z = np.stack(
+            [kernel._aggregates(random_feasible_blocks(rng, scn).blocks) for _ in range(5)]
+        )
+        stacked = kernel.fim(Z)
+        assert stacked.shape == (5, 5, 5)
+        for z, J in zip(Z, stacked):
+            one = kernel.fim(z)
+            scale = np.abs(one).max()
+            assert np.abs(J - one).max() <= 1e-15 * scale
+            assert np.abs(J - J.T).max() <= 1e-15 * scale
+
+
 def test_precoder_orthonormal_columns():
     scn = default_scenario()
     for p in range(scn.n_subcarriers):
