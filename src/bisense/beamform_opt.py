@@ -15,10 +15,15 @@ budget. A Frank-Wolfe step adds what the Newton step cannot reach (a new
 block, or a second rank on a rank-one block): the linear minimizer over the
 feasible set is the whole budget on the bottom eigenvector of one gradient
 block, mixed in by a line search along the chord.
+
+A narrowband scene on a symmetric grid needs no solver: its optimum lies on
+the outer subcarrier pair and is fixed by two variables on a disk
+(_reduced_start). optimize starts there, so the run is one certificate pass.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,17 +136,149 @@ def speb_gradient(scenario: Scenario, bc: BeamCovariance) -> np.ndarray:
     return _Kernel.build(scenario).gradient(bc.blocks)
 
 
-def _outer_equal_split(scenario: Scenario) -> np.ndarray:
-    """Default start: budget split evenly over the outermost subcarrier pair
-    and both beam directions (full-rank blocks there, zero elsewhere)."""
+def _outer(scenario: Scenario) -> np.ndarray:
+    """Mask of the outermost subcarriers, |omega_p| = max |omega|."""
     omegas = np.abs(np.asarray(scenario.subcarrier_offsets))
-    outer = omegas >= omegas.max() - 1e-12 * max(omegas.max(), 1.0)
+    return omegas >= omegas.max() - 1e-12 * max(omegas.max(), 1.0)
+
+
+def _outer_equal_split(scenario: Scenario) -> np.ndarray:
+    """Start of scenes without a reduced start: budget split evenly over the
+    outermost subcarrier pair and both beam directions (full-rank blocks
+    there, zero elsewhere)."""
+    outer = _outer(scenario)
     m = scenario.block_dim
     blocks = np.zeros((scenario.n_subcarriers, m, m), dtype=complex)
     per_entry = scenario.power_budget / (outer.sum() * m)
     for p in np.flatnonzero(outer):
         blocks[p] = np.eye(m) * per_entry
     return blocks
+
+
+def _mirror_coordinates(scenario: Scenario, alpha, u) -> np.ndarray:
+    """Block coordinates (see fisher._coordinates), shape (..., P, k), of the
+    beams on the outermost subcarriers alone, with beta = budget / (their
+    count) on each: b11 = beta alpha, b22 = beta (1 - alpha), Re b21 = 0 and
+    Im b21 = sign(omega_p) beta u, so the two band edges turn opposite ways.
+    Each block is PSD for u^2 <= alpha (1 - alpha) and one beam (rank one)
+    on that circle; 1x1 blocks keep b11 alone. alpha and u broadcast."""
+    outer = _outer(scenario)
+    weight = np.where(outer, scenario.power_budget / outer.sum(), 0.0)
+    turn = weight * np.sign(np.asarray(scenario.subcarrier_offsets))
+    alpha = np.asarray(alpha, dtype=float)[..., None]
+    u = np.asarray(u, dtype=float)[..., None]
+    x = np.zeros(np.broadcast_shapes(alpha.shape, u.shape)[:-1] + (len(weight), 4))
+    x[..., 0] = weight * alpha
+    x[..., 1] = weight * (1.0 - alpha)
+    x[..., 3] = turn * u
+    return x if scenario.block_dim == 2 else x[..., :1]
+
+
+def _has_reduced_start(scenario: Scenario) -> bool:
+    """Whether optimize starts from _reduced_start: a narrowband scene on a
+    symmetric grid with an outer subcarrier pair."""
+    return scenario.narrowband and scenario.symmetric_subcarriers and scenario.n_subcarriers >= 2
+
+
+def _reduced_start(kernel: _Kernel, scenario: Scenario) -> np.ndarray:
+    """The optimum of a scene with _has_reduced_start, from two variables.
+
+    On such a scene some optimum has Re b21 = 0, since Re b21 feeds only the
+    gain coupling. Some optimum is also its own mirror image, since the
+    objective is convex and does not change when each block is replaced by
+    the conjugate of its mirror block. That optimum has no gain coupling, so
+    its information is J22, and moving an inner block's power to the outer
+    pair keeps every aggregate of J22 but s2, which it raises. What is left
+    are the beams of _mirror_coordinates on the disk u^2 <= alpha (1 - alpha),
+    whose position information alpha A_a + (1 - alpha) A_b + u A_c is affine
+    in (alpha, u); _disk_solve finds their optimum. With one transmit element
+    the blocks are 1x1 and alpha = 1.
+    """
+    if scenario.block_dim == 1:
+        return _blocks(_mirror_coordinates(scenario, 1.0, 0.0))
+    # (alpha, u) = (1, 0), (0, 0) and the step from there to (0, 1)
+    x = _mirror_coordinates(scenario, [1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
+    x[2] -= x[1]
+    z = np.einsum("pak,npk->na", kernel.coef, x)
+    # J22 straight from info: its Schur complement would divide by s0 = 0 at (0, 0)
+    A = kernel.jac @ np.einsum("na,aij->nij", z, kernel.info[:, 2:, 2:]) @ kernel.jac.T
+    return _blocks(_mirror_coordinates(scenario, *_disk_solve(A / np.abs(A).max())))
+
+
+DISK_STEP_TOL = 4.0 * float(np.finfo(float).eps)  # relative step or bracket that ends _disk_solve
+
+
+def _disk_solve(A: np.ndarray) -> tuple[float, float]:
+    """(alpha, u) minimizing f = tr(M^-1) = tr(M) / det(M) over the disk
+    u^2 <= alpha (1 - alpha), where M = alpha A_a + (1 - alpha) A_b + u A_c
+    and A stacks the symmetric 2x2 matrices A_a, A_b, A_c.
+
+    For fixed alpha, f is convex in u on the interval where M is positive
+    definite, and it tends to +inf at both ends, since det(A_c) <= 0 makes
+    det(M) concave in u. Its minimizer is the root of the quadratic
+    numerator of df/du where the numerator turns positive, taken in the
+    cancellation-free form; a zero leading coefficient or A_c = 0 needs no
+    special case. Clipped to |u| <= r = sqrt(alpha (1 - alpha)), it gives the
+    partial minimum phi(alpha), which is convex. By the envelope theorem,
+    phi' = df/dalpha, plus df/du * du/dalpha when u = +-r sits on the circle.
+    Safeguarded Newton steps solve phi' = 0, with phi'' from a complex step.
+    """
+    (pa, qa, sa), (pb, qb, sb), (pc, qc, sc) = (
+        (float(m[0, 0]), float(m[0, 1]), float(m[1, 1])) for m in A
+    )
+    pd, qd, sd = pa - pb, qa - qb, sa - sb
+    t_c = pc + sc
+    # A_c = K J_c K^T, and J_c couples delay and departure only: det(A_c) <= 0
+    det_c = min(pc * sc - qc * qc, 0.0)
+
+    def det_slope(p, q, s, x, y, z):
+        """tr(adj(M) N), the derivative of det(M) along N, for the symmetric
+        M = [[p, q], [q, s]] and N = [[x, y], [y, z]]."""
+        return s * x + p * z - 2.0 * q * y
+
+    def slope(alpha):
+        """(phi'(alpha), u(alpha)); analytic in alpha except at branch
+        switches, which are decided on the real part."""
+        p, q, s = pb + alpha * pd, qb + alpha * qd, sb + alpha * sd
+        t = p + s
+        # df/du is proportional to -(a u^2 + b u + c)
+        a, b = t_c * det_c, 2.0 * t * det_c
+        c = t * det_slope(p, q, s, pc, qc, sc) - t_c * (p * s - q * q)
+        den = (b * b - 4.0 * a * c) ** 0.5 - b
+        r = (alpha * (1.0 - alpha)) ** 0.5
+        if den.real > 0.0:
+            u = 2.0 * c / den
+        else:  # det(M) linear or constant in u: f is monotone
+            u = math.copysign(math.inf, c.real) if c.real != 0.0 else 0.0
+        side = math.copysign(1.0, u.real)
+        on_circle = abs(u.real) > r.real
+        if on_circle:
+            u = side * r
+        p, q, s = p + u * pc, q + u * qc, s + u * sc
+        t, det = p + s, p * s - q * q
+        if not det.real > 0.0:  # rounding at an end of (0, 1), where phi -> +inf
+            return complex(-math.inf if alpha.real < 0.5 else math.inf), u
+        df_dalpha = ((pd + sd) * det - t * det_slope(p, q, s, pd, qd, sd)) / det**2
+        if not on_circle:
+            return df_dalpha, u
+        df_du = (t_c * det - t * det_slope(p, q, s, pc, qc, sc)) / det**2
+        return df_dalpha + df_du * side * (1.0 - 2.0 * alpha) / (2.0 * r), u
+
+    lo, hi, alpha = 0.0, 1.0, 0.5
+    for _ in range(100):
+        g, u = slope(complex(alpha, 1e-20))
+        if g.real <= 0.0:
+            lo = alpha
+        if g.real >= 0.0:
+            hi = alpha
+        curv = g.imag / 1e-20
+        step = g.real / curv if curv > 0.0 and math.isfinite(g.real) else math.inf
+        # tested before the bracket: a step below rounding may land on its end;
+        # the bracket closes on alpha = 1 when the whole budget goes to b11
+        if abs(step) <= DISK_STEP_TOL * alpha or hi - lo <= DISK_STEP_TOL * hi:
+            break
+        alpha = alpha - step if lo < alpha - step < hi else 0.5 * (lo + hi)
+    return alpha, float(u.real)
 
 
 # -----------------------------------------------------------------------------
@@ -374,6 +511,13 @@ def optimize(
 ) -> OptResult:
     """Minimize the SPEB over feasible beam covariances.
 
+    The run starts from initial when given. Otherwise a narrowband scene on
+    a symmetric grid with at least two subcarriers starts at its exact
+    optimum (_reduced_start), so it normally ends on the gap certificate
+    before any step, and every other scene starts from the equal split over
+    the outer subcarrier pair (_outer_equal_split). A start with no power or
+    a singular objective is replaced by the uniform beam.
+
     Each iteration first checks the two certificates. If neither holds it
     takes one step (see _FactoredBeam.step): a Newton step on the active
     factored blocks, or a Frank-Wolfe step that can add a block or a rank.
@@ -402,11 +546,15 @@ def optimize(
         # the budget sphere
         check_beam_covariance(initial, scenario)
         blocks = initial.blocks
+    elif _has_reduced_start(scenario):
+        blocks = _reduced_start(kernel, scenario)
     else:
         blocks = _outer_equal_split(scenario)
-    if not np.isfinite(kernel.speb(blocks)):
-        blocks = uniform
-    beam = _FactoredBeam(kernel, blocks)
+    # a start without power has no factor to scale onto the budget sphere
+    has_power = np.trace(blocks, axis1=1, axis2=2).real.sum() > 0.0
+    beam = _FactoredBeam(kernel, blocks) if has_power else None
+    if beam is None or not np.isfinite(beam.f):
+        beam = _FactoredBeam(kernel, uniform)
     trace = [beam.f]
 
     def residuals(b, f, grads, grad_norm):
@@ -465,8 +613,9 @@ def optimize(
 def monopulse_candidate(scenario: Scenario, alpha: float) -> BeamCovariance:
     """Two-beam rank-one candidate on the outermost subcarrier pair.
 
-    Each outer block is (budget/2) * [[a, +-j s], [-+j s, 1-a]] with
-    s = sqrt(a(1-a)): a sum beam toward the target plus a quadrature
+    The boundary point u = +-sqrt(alpha (1 - alpha)) of the disk of
+    _reduced_start: each outer block is (budget/2) * [[a, +-j s], [-+j s, 1-a]]
+    with s = sqrt(a(1-a)), a sum beam toward the target plus a quadrature
     difference beam, opposite rotation senses on the two band edges. Blocks
     are rank one for every alpha in (0, 1). Which band edge carries which
     sense is decided by the scene geometry (the coupling they exploit is
@@ -485,17 +634,7 @@ def monopulse_candidate(scenario: Scenario, alpha: float) -> BeamCovariance:
         )
     if not scenario.symmetric_subcarriers:
         raise InfeasibleScenario("two-beam candidate assumes a symmetric subcarrier grid")
-    omegas = np.asarray(scenario.subcarrier_offsets)
-    blocks = np.zeros((scenario.n_subcarriers, 2, 2), dtype=complex)
-    w_max = np.abs(omegas).max()
-    s = np.sqrt(alpha * (1.0 - alpha))
-    half = scenario.power_budget / 2.0
-    for p, w in enumerate(omegas):
-        if abs(abs(w) - w_max) <= 1e-12 * max(w_max, 1.0):
-            sign = 1.0 if w > 0 else -1.0
-            blocks[p] = half * np.array(
-                [[alpha, sign * 1j * s], [-sign * 1j * s, 1.0 - alpha]]
-            )
+    blocks = _blocks(_mirror_coordinates(scenario, alpha, -np.sqrt(alpha * (1.0 - alpha))))
     kernel = _Kernel.build(scenario)
     if kernel.speb(blocks.conj()) < kernel.speb(blocks):
         blocks = blocks.conj()

@@ -20,7 +20,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .beamform_opt import OptOptions, OptResult, optimize, project_feasible
+from .beamform_opt import OptOptions, OptResult, _has_reduced_start, optimize, project_feasible
 from .errors import DegenerateGeometry, InfeasibleScenario
 from .fisher import BeamCovariance, Scenario
 from .geometry import Position2D
@@ -42,10 +42,11 @@ STATUS_LABELS = {
 DEFAULT_RCS_COEFF_M = 0.1
 ROLE_TIE_REL_TOL = 1e-9
 
-# Start of each cell: the polynomial through the last h converged optima of
-# the row's run, extrapolated one cell ahead (the secant predictor of
-# predictor-corrector continuation). Entry h - 1 holds the weights for a run
-# of length h, newest optimum first.
+# Start of each cell of a scene without a reduced start (see sweep): the
+# polynomial through the last h converged optima of the row's run,
+# extrapolated one cell ahead (the secant predictor of predictor-corrector
+# continuation). Entry h - 1 holds the weights for a run of length h, newest
+# optimum first.
 _PREDICTOR_WEIGHTS = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0), (4.0, -6.0, 4.0, -1.0))
 
 
@@ -156,7 +157,8 @@ def _cell_solve(
         return STATUS_SINGULAR, None
     gain = channel_gain(scenario.p_t, scenario.p_r, p_s, scenario.wavelength, rcs_coeff_m)
     cell = dataclasses.replace(scenario, p_s=p_s, gain=complex(gain))
-    warm = _predict(run, scenario.power_budget)
+    # optimize itself starts a scene with a reduced start at its optimum
+    warm = None if _has_reduced_start(scenario) else _predict(run, scenario.power_budget)
     try:
         res = optimize(cell, options=options, initial=warm)
         if not res.converged and warm is not None:
@@ -188,11 +190,15 @@ def sweep(
 
     The scenario's own target position and gain are ignored; each cell gets
     its own target and freshly derived gain. Rows are processed serially.
-    Each row keeps a run of its last converged optima (at most four); a cell
-    starts from the feasible projection of their polynomial extrapolation
-    (_PREDICTOR_WEIGHTS), the first cell of a run starts cold, and a predicted
-    start that fails to converge is retried cold. The run restarts at every
-    row and after every cell whose status is not ok.
+
+    A narrowband scene on a symmetric grid passes optimize no start: it
+    starts each cell at the cell's exact optimum (see
+    beamform_opt._reduced_start), which certifies without a step. Any other
+    scene keeps, per row, a run of its last converged optima (at most four);
+    a cell starts from the feasible projection of their polynomial
+    extrapolation (_PREDICTOR_WEIGHTS), the first cell of a run starts cold,
+    and a predicted start that fails to converge is retried cold. The run
+    restarts at every row and after every cell whose status is not ok.
     """
     grid = grid or GridSpec()
     options = options or OptOptions()

@@ -3,6 +3,7 @@ projection against a generic QP solver, and structural facts about optima."""
 
 import collections
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,11 @@ from bisense.beamform_opt import (
     OptOptions,
     _FactoredBeam,
     _Kernel,
+    _disk_solve,
+    _has_reduced_start,
     _oracle_atom,
+    _outer_equal_split,
+    _reduced_start,
     _shift_to_budget,
     monopulse_candidate,
     optimize,
@@ -405,7 +410,8 @@ def test_infeasibility_probe_is_representative(rng):
 
 def test_optimize_respects_iteration_cap():
     sc = default_scenario()
-    res = optimize(sc, options=OptOptions(max_iters=3))
+    start = BeamCovariance(blocks=_outer_equal_split(sc))
+    res = optimize(sc, options=OptOptions(max_iters=3), initial=start)
     assert res.iterations <= 3
     assert not res.converged
 
@@ -482,6 +488,35 @@ def test_monopulse_sweep_stays_above_rank_two_optimum():
     assert best > res.speb * (1 + 1e-6)
 
 
+def test_monopulse_blocks_are_the_disk_boundary_point():
+    """Explicit outer blocks for two alphas; this target takes one rotation
+    sense at alpha = 0.2 and the other at 0.75. The inner blocks are zero."""
+    sc = relocate(default_scenario(n_subcarriers=4), (5.0, 7.0))
+    beta = sc.power_budget / 2
+    s = np.sqrt(0.75 * 0.25)
+    lowest_edge = {
+        0.2: [[0.2, 0.4j], [-0.4j, 0.8]],
+        0.75: [[0.75, -1j * s], [1j * s, 0.25]],
+    }
+    for alpha, low in lowest_edge.items():
+        expected = np.zeros((4, 2, 2), dtype=complex)
+        expected[0] = beta * np.array(low)
+        expected[3] = beta * np.array(low).conj()
+        got = monopulse_candidate(sc, alpha).blocks
+        assert np.allclose(got, expected, rtol=0.0, atol=1e-15 * beta)
+
+
+def test_monopulse_spends_the_budget_on_repeated_outer_offsets():
+    """A symmetric grid may list its band edges more than once; the budget is
+    shared by all outermost blocks, not given in halves to each."""
+    sc = default_scenario()
+    w = sc.subcarrier_offsets[1]
+    sc = dataclasses.replace(sc, subcarrier_offsets=(-w, -w, w, w))
+    bc = monopulse_candidate(sc, 0.5)
+    fisher.check_beam_covariance(bc, sc)
+    assert bc.total_power() == pytest.approx(sc.power_budget, rel=1e-12)
+
+
 def test_rank_profile_reporting():
     sc = default_scenario(n_subcarriers=2)
     assert rank_profile(BeamCovariance.zero(sc)) == (0, 0)
@@ -540,14 +575,15 @@ def test_optimum_matches_pinned_values(target, speb):
 
 def test_exit_reason_reports_the_stop():
     sc = default_scenario()
-    res = optimize(sc)
+    start = BeamCovariance(blocks=_outer_equal_split(sc))
+    res = optimize(sc, initial=start)
     assert res.exit_reason in ("gap", "kkt")
     tol = OptOptions()
     if res.exit_reason == "gap":
         assert res.optimality_gap_rel <= tol.gap_tol
     else:
         assert res.kkt_residual < tol.grad_tol
-    capped = optimize(sc, options=OptOptions(max_iters=2))
+    capped = optimize(sc, options=OptOptions(max_iters=2), initial=start)
     assert capped.exit_reason == "max_iters" and not capped.converged
     assert set(EXIT_REASONS) == {"gap", "kkt", "max_iters", "stalled"}
 
@@ -584,8 +620,9 @@ def test_aggregate_hessian_matches_central_differences(rng):
 def test_cold_solve_takes_the_aggregate_gradient_once_per_pass(monkeypatch):
     """Each pass of the solver loop gets the aggregate gradient and Hessian
     from one call and maps the gradient to blocks through the adjoint, so the
-    block gradient is never evaluated from the blocks. The default scene
-    prices no Frank-Wolfe step, whose chord search would add calls."""
+    block gradient is never evaluated from the blocks. The default scene,
+    started from the equal split, prices no Frank-Wolfe step, whose chord
+    search would add calls."""
     calls = collections.Counter()
     for name in ("gradient", "_aggregate_gradient"):
         original = getattr(_Kernel, name)
@@ -595,7 +632,8 @@ def test_cold_solve_takes_the_aggregate_gradient_once_per_pass(monkeypatch):
             return _original(self, *args)
 
         monkeypatch.setattr(_Kernel, name, counted)
-    res = optimize(default_scenario())
+    sc = default_scenario()
+    res = optimize(sc, initial=BeamCovariance(blocks=_outer_equal_split(sc)))
     assert res.converged
     assert calls["gradient"] == 0
     assert calls["_aggregate_gradient"] == res.iterations + 1
@@ -714,3 +752,132 @@ def test_single_transmit_element_scene():
     )
     assert res.speb <= best * (1 + 1e-12)
     assert res.speb >= best * (1 - 2 * OptOptions().gap_tol)
+
+
+def test_warm_start_at_its_optimum_evaluates_the_objective_twice(monkeypatch):
+    """One evaluation probes the uniform beam for feasibility and one scores
+    the start, which also decides the fallback to the uniform start."""
+    sc = default_scenario()
+    optimum = optimize(sc).beam
+    calls = collections.Counter()
+    original = _Kernel._speb_from_aggregates
+
+    def counted(self, z):
+        calls["speb"] += 1
+        return original(self, z)
+
+    monkeypatch.setattr(_Kernel, "_speb_from_aggregates", counted)
+    res = optimize(sc, initial=optimum)
+    assert res.iterations == 0 and res.exit_reason == "gap"
+    assert calls["speb"] == 2
+
+
+def test_zero_power_start_falls_back_to_uniform():
+    """An initial beam with no power has no factor to scale onto the budget
+    sphere; optimize starts from the uniform beam instead, without warnings."""
+    sc = default_scenario(n_subcarriers=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = optimize(sc, initial=BeamCovariance.zero(sc))
+    assert res.speb_trace[0] == _Kernel.build(sc).speb(BeamCovariance.uniform(sc).blocks)
+    assert res.converged
+    assert res.speb == pytest.approx(optimize(sc).speb, rel=2 * OptOptions().gap_tol)
+
+
+# -----------------------------------------------------------------------------
+# the reduced start: the exact optimum of a narrowband scene in two variables
+
+
+# Columns across the terminals, rows through the rank-one region near the
+# baseline, and y = 0 beyond the terminals, where A_c has zero trace and the
+# quadratic for u loses its leading coefficient.
+ORACLE_XS = np.linspace(-30.0, 30.0, 11)
+ORACLE_YS = (-6.0, -2.0, 0.0, 4.0, 16.0)
+
+
+@pytest.mark.parametrize("overrides", [{}, {"n_subcarriers": 3}, {"n_tx": 4, "n_rx": 8}])
+def test_reduced_start_is_the_solver_optimum(overrides):
+    """On a coarse narrowband grid, a solve from the equal split certifies
+    reduced <= solver <= reduced (1 + gap) up to rounding, and the two agree
+    on which cells are rank one."""
+    base = default_scenario(**overrides)
+    rank_one = []
+    for x in ORACLE_XS:
+        for y in ORACLE_YS:
+            sc = relocate(base, (x, y))
+            try:
+                res = optimize(sc, initial=BeamCovariance(blocks=_outer_equal_split(sc)))
+            except InfeasibleScenario:  # the baseline strip
+                continue
+            assert res.converged
+            kernel = _Kernel.build(sc)
+            reduced = BeamCovariance(blocks=_reduced_start(kernel, sc))
+            fisher.check_beam_covariance(reduced, sc)
+            f = kernel.speb(reduced.blocks)
+            gap = max(res.optimality_gap_rel, 0.0)
+            assert f <= res.speb * (1 + 1e-14), (x, y)
+            assert res.speb <= f * (1 + gap + 1e-14), (x, y)
+            rank_one.append(max(rank_profile(reduced)) == 1)
+            assert rank_one[-1] == (max(res.rank_profile) == 1), (x, y)
+    assert len(rank_one) >= 50
+    assert 0 < sum(rank_one) < len(rank_one)
+
+
+def test_default_solve_of_a_narrowband_scene_takes_no_step(rng):
+    """Started at its reduced optimum, every narrowband solve with an outer
+    subcarrier pair ends on the gap certificate before its first step."""
+    checked = 0
+    while checked < 40:
+        sc = random_scenario(rng, p_choices=(2, 3, 4, 5))
+        sc = dataclasses.replace(sc, narrowband=True)
+        assert _has_reduced_start(sc)
+        try:
+            res = optimize(sc)
+        except InfeasibleScenario:
+            continue
+        assert (res.exit_reason, res.iterations) == ("gap", 0)
+        checked += 1
+
+
+def test_reduced_start_scope():
+    """Wideband scenes, asymmetric grids and single subcarriers keep the
+    equal split; a single transmit element puts all power on steering."""
+    assert _has_reduced_start(default_scenario())
+    assert not _has_reduced_start(default_scenario(narrowband=False))
+    assert not _has_reduced_start(default_scenario(n_subcarriers=1))
+    asymmetric = dataclasses.replace(default_scenario(), symmetric_subcarriers=False)
+    assert not _has_reduced_start(asymmetric)
+    sc = default_scenario(n_tx=1, n_subcarriers=3)
+    blocks = _reduced_start(_Kernel.build(sc), sc)
+    assert np.array_equal(blocks, _outer_equal_split(sc))
+
+
+def test_disk_solve_beats_a_dense_search(rng):
+    """Against a dense search over the disk, for position information of the
+    shape the scenes give: A_a from delay and arrival, A_b rank one from
+    departure, A_c their delay/departure coupling. Includes A_c = 0 and a
+    trace-free A_c (orthogonal delay and departure columns)."""
+    alpha = np.linspace(0.0, 1.0, 501)[1:-1, None]
+    u = np.sqrt(alpha * (1 - alpha)) * np.linspace(-1.0, 1.0, 501)
+    for case in range(12):
+        K = rng.normal(size=(2, 3))
+        if case == 1:
+            K[:, 1] = np.array([-K[1, 0], K[0, 0]]) * rng.uniform(0.5, 2.0)
+        J = np.zeros((3, 3, 3))
+        J[0, 0, 0], J[0, 2, 2] = rng.uniform(0.2, 5.0, 2)
+        J[1, 1, 1] = rng.uniform(0.2, 5.0)
+        J[2, 0, 1] = J[2, 1, 0] = 0.0 if case == 0 else rng.uniform(-3.0, 3.0)
+        A = K @ J @ K.T
+        a_opt, u_opt = _disk_solve(A)
+        assert 0.0 < a_opt <= 1.0 and u_opt**2 <= a_opt * (1 - a_opt) * (1 + 1e-12)
+        if case == 0:
+            assert u_opt == 0.0
+
+        def f(a, v):
+            M = a[..., None, None] * A[0] + (1 - a)[..., None, None] * A[1]
+            M = M + v[..., None, None] * A[2]
+            det = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] ** 2
+            return np.where(det > 0, (M[..., 0, 0] + M[..., 1, 1]) / det, np.inf)
+
+        best = f(np.broadcast_to(alpha, u.shape), u).min()
+        assert f(np.array(a_opt), np.array(u_opt)) <= best * (1 + 1e-12)

@@ -310,7 +310,8 @@ def test_bad_config_file_exits_2(tmp_path, capsys):
 
 def test_non_convergence_exits_4(tmp_path, capsys):
     cfg = tmp_path / "cfg.yaml"
-    cfg.write_text("solver:\n  max_iters: 1\n")
+    # a wideband scene: a narrowband one starts at its optimum and takes no step
+    cfg.write_text("scenario:\n  narrowband: false\nsolver:\n  max_iters: 1\n")
     code, out, err = run_cli(
         "optimize-point", "--config", str(cfg), "--out", str(tmp_path), capsys=capsys
     )
@@ -327,7 +328,8 @@ def test_optimize_point_reports_exit_reason(tmp_path, capsys):
     assert code == EXIT_OK and reason in ("gap", "kkt")
     assert f"converged: yes  (exit {reason}," in out
     cfg = tmp_path / "cfg.yaml"
-    cfg.write_text("solver:\n  max_iters: 1\n")
+    # a wideband scene: a narrowband one starts at its optimum and takes no step
+    cfg.write_text("scenario:\n  narrowband: false\nsolver:\n  max_iters: 1\n")
     code, out, _ = run_cli(
         "optimize-point", "--config", str(cfg), "--out", str(tmp_path / "capped"), capsys=capsys
     )
@@ -337,7 +339,7 @@ def test_optimize_point_reports_exit_reason(tmp_path, capsys):
     assert "converged: NO  (exit max_iters, 1 iterations," in out
 
 
-def small_map_config(tmp_path, **solver):
+def small_map_config(tmp_path, scenario=None, **solver):
     cfg = tmp_path / "map.yaml"
     doc = {
         "grid": {
@@ -349,6 +351,8 @@ def small_map_config(tmp_path, **solver):
             "ny": 5,
         }
     }
+    if scenario:
+        doc["scenario"] = scenario
     if solver:
         doc["solver"] = solver
     cfg.write_text(yaml.safe_dump(doc))
@@ -440,7 +444,8 @@ def test_map_outputs_are_deterministic(tmp_path, capsys):
 
 
 def test_map_non_convergence_exits_4(tmp_path, capsys):
-    cfg = small_map_config(tmp_path, max_iters=1)
+    # a wideband scene: narrowband cells start at their optimum and take no step
+    cfg = small_map_config(tmp_path, scenario={"narrowband": False}, max_iters=1)
     code, _, err = run_cli(
         "map", "--config", str(cfg), "--out", str(tmp_path / "m"), capsys=capsys
     )

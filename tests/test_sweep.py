@@ -283,9 +283,9 @@ def _extrapolate(beams):
 
 
 def test_sweep_starts_cells_from_extrapolated_optima(monkeypatch):
-    """Each cell starts from the feasible projection of the extrapolated last
-    converged optima of its row; the run restarts at each row and after each
-    cell that is not ok."""
+    """On a wideband scene, each cell starts from the feasible projection of
+    the extrapolated last converged optima of its row; the run restarts at
+    each row and after each cell that is not ok."""
     sweep_module = importlib.import_module("bisense.sweep")
     calls = []
 
@@ -295,7 +295,7 @@ def test_sweep_starts_cells_from_extrapolated_optima(monkeypatch):
         return res
 
     monkeypatch.setattr(sweep_module, "optimize", recording_optimize)
-    sc = default_scenario()
+    sc = default_scenario(narrowband=False)
     # y = 0: ok, ok, excluded, singular x3, excluded, ok, ok; y = 12: all ok
     grid = GridSpec(x_min=-20.0, x_max=20.0, y_min=0.0, y_max=12.0, nx=9, ny=2)
     res = sweep(sc, grid)
@@ -325,3 +325,22 @@ def test_sweep_starts_cells_from_extrapolated_optima(monkeypatch):
     ok = res.status == STATUS_OK
     assert np.array_equal(np.isfinite(res.gap), ok)
     assert np.all(res.gap[ok] >= 0.0)
+
+
+def test_narrowband_cells_start_at_their_reduced_optimum(monkeypatch):
+    """A narrowband map passes no start: optimize starts each cell at its
+    exact optimum, which certifies on the gap before any step, and no cell is
+    solved twice."""
+    sweep_module = importlib.import_module("bisense.sweep")
+    calls = []
+
+    def recording_optimize(cell, options=None, initial=None):
+        res = optimize(cell, options=options, initial=initial)
+        calls.append((initial, res.exit_reason, res.iterations))
+        return res
+
+    monkeypatch.setattr(sweep_module, "optimize", recording_optimize)
+    grid = GridSpec(x_min=-20.0, x_max=20.0, y_min=0.0, y_max=12.0, nx=9, ny=2)
+    res = sweep(default_scenario(n_subcarriers=3), grid)
+    assert len(calls) == int((res.status == STATUS_OK).sum()) == 13
+    assert all(call == (None, "gap", 0) for call in calls)
