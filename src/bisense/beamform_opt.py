@@ -145,14 +145,8 @@ def _outer(scenario: Scenario) -> np.ndarray:
 def _outer_equal_split(scenario: Scenario) -> np.ndarray:
     """Start of scenes without a reduced start: budget split evenly over the
     outermost subcarrier pair and both beam directions (full-rank blocks
-    there, zero elsewhere)."""
-    outer = _outer(scenario)
-    m = scenario.block_dim
-    blocks = np.zeros((scenario.n_subcarriers, m, m), dtype=complex)
-    per_entry = scenario.power_budget / (outer.sum() * m)
-    for p in np.flatnonzero(outer):
-        blocks[p] = np.eye(m) * per_entry
-    return blocks
+    there, zero elsewhere), the centre of the disk of _mirror_coordinates."""
+    return _blocks(_mirror_coordinates(scenario, 0.5 if scenario.block_dim == 2 else 1.0, 0.0))
 
 
 def _mirror_coordinates(scenario: Scenario, alpha, u) -> np.ndarray:

@@ -21,10 +21,12 @@ The blocks enter the information matrix only through eight linear
 aggregates, and the matrix is linear in them. ``_Kernel`` holds that one
 closed form as two constant arrays: ``coef`` maps the blocks' real
 coordinates to the aggregates, and ``info`` maps the aggregates to the 5x5
-matrix. The effective forms are Schur complements of its gain block, and the
-gradients follow by the chain rule through the two maps. ``fim_xform``
-returns the 5x5 matrix, ``fim_entrywise`` the matrix with its effective forms
-and bounds, and the solver its effective 3x3 form. ``fim_from_derivatives``
+matrix. The effective forms are one Schur complement over the gain
+directions that are nuisance parameters (``_schur``): both gain coordinates
+for ``speb``, the gain phase alone for ``speb_known_gain``. The gradients
+follow by the chain rule through the two maps. ``fim_xform`` returns the 5x5
+matrix, ``fim_entrywise`` the matrix with its effective forms and bounds, and
+the solver its effective 3x3 form. ``fim_from_derivatives``
 (raw derivative outer products over explicit pilot vectors) never touches the
 closed form and is the oracle that tests and ``bisense validate`` check it
 against.
@@ -258,15 +260,14 @@ class FisherBundle:
         J11, J12, J22: partition into gain block (2x2), cross block (2x3),
             and observable block (3x3).
         J_e: 3x3 effective information for (delay, aod, aoa) with the complex
-            gain treated as unknown.
-        J_eh: same with the gain magnitude known (only its phase-consistent
-            direction removed).
+            gain unknown: the Schur complement over both gain coordinates.
+        J_eh: same with the gain magnitude known: the Schur complement over
+            the gain-phase direction alone.
         jacobian: 2x3 position Jacobian of (delay, aod, aoa).
-        position_fim / position_fim_known_gain: 2x2 position information.
-        speb / speb_known_gain: trace of the inverse position information,
-            m^2; NaN when flagged singular.
+        position_fim: 2x2 position information of J_e.
+        speb / speb_known_gain: trace of the inverse position information of
+            J_e / J_eh, m^2; NaN when flagged singular.
         singular / singular_known_gain: condition-guard flags.
-        gain: the complex gain the bundle was built with.
     """
 
     J: np.ndarray
@@ -277,25 +278,13 @@ class FisherBundle:
     J_eh: np.ndarray
     jacobian: np.ndarray
     position_fim: np.ndarray
-    position_fim_known_gain: np.ndarray
     speb: float
     speb_known_gain: float
     singular: bool
     singular_known_gain: bool
-    gain: complex
 
     def __post_init__(self):
-        for name in (
-            "J",
-            "J11",
-            "J12",
-            "J22",
-            "J_e",
-            "J_eh",
-            "jacobian",
-            "position_fim",
-            "position_fim_known_gain",
-        ):
+        for name in ("J", "J11", "J12", "J22", "J_e", "J_eh", "jacobian", "position_fim"):
             getattr(self, name).flags.writeable = False
 
 
@@ -316,38 +305,22 @@ def _trace_inverse_2x2(a_mat: np.ndarray) -> tuple[float, bool]:
     return float((a + d) / det), False
 
 
-def _schur(J: np.ndarray) -> np.ndarray:
+def _schur(J: np.ndarray, nuisance: np.ndarray | None = None) -> np.ndarray:
     """Effective (delay, aod, aoa) information of (..., 5, 5) matrices whose
-    gain block is j11 times the identity: J22 - J12^T J12 / j11, the Schur
-    complement of the gain block. Every operation is analytic, so complex J
-    is fine."""
+    gain block is j11 times the identity: J22 - J12^T P J12 / j11, the Schur
+    complement over the gain directions that are nuisance parameters.
+
+    P is the 2x2 orthogonal projector onto those directions; None stands for
+    the identity (an unknown complex gain) and skips the product. A known
+    gain magnitude leaves the phase direction u alone unknown, P = u u^T.
+    Every operation is analytic, so complex J is fine."""
     J12 = J[..., :2, 2:]
-    return J[..., 2:, 2:] - J12.swapaxes(-1, -2) @ J12 / J[..., 0, 0, None, None]
-
-
-def _known_gain_reduce(
-    J11: np.ndarray, J12: np.ndarray, J22: np.ndarray, gain: complex
-) -> np.ndarray:
-    """Remove only the gain-phase direction: penalty through u = [-Im, Re]/|g|."""
-    mag = abs(gain)
-    if mag == 0.0:
-        raise ValueError("known-gain reduction needs a nonzero gain")
-    j11 = J11[0, 0]
-    if j11 <= 0.0:
-        return J22.copy()
-    u = np.array([-gain.imag, gain.real]) / mag
-    v = J12.T @ u
-    return J22 - np.outer(v, v) / float(u @ J11 @ u)
+    PJ12 = J12 if nuisance is None else nuisance @ J12
+    return J[..., 2:, 2:] - J12.swapaxes(-1, -2) @ PJ12 / J[..., 0, 0, None, None]
 
 
 # -----------------------------------------------------------------------------
 # the closed form
-
-
-def _trace_inverse_guarded(A: np.ndarray) -> float:
-    """tr(A^{-1}) of a symmetric 2x2; +inf when A fails the condition guard."""
-    value, singular = _trace_inverse_2x2(A)
-    return float("inf") if singular else value
 
 
 def _coordinates(blocks: np.ndarray) -> np.ndarray:
@@ -459,14 +432,11 @@ class _Kernel:
         z = np.asarray(z)
         return (z @ self.info.reshape(8, 25)).reshape(z.shape[:-1] + (5, 5))
 
-    def _efim(self, z) -> np.ndarray:
-        """Effective 3x3 information, shape (3, 3) or (n, 3, 3), at
-        aggregates z of shape (8,) or (n, 8). Analytic, so complex z is fine.
-        No domain checks: s0 must be nonzero."""
-        return _schur(self.fim(z))
-
     def _position_fim(self, z) -> np.ndarray:
-        return self.jac @ self._efim(z) @ self.jac.T
+        """2x2 position information of the effective form, shape (2, 2) or
+        (n, 2, 2), at aggregates z of shape (8,) or (n, 8). Analytic, so
+        complex z is fine. No domain checks: s0 must be nonzero."""
+        return self.jac @ _schur(self.fim(z)) @ self.jac.T
 
     def position_fim(self, blocks: np.ndarray) -> np.ndarray:
         return self._position_fim(self._aggregates(blocks))
@@ -481,7 +451,8 @@ class _Kernel:
         # departure angle is informed, so the position information is singular
         if not z[0] > 0.0:
             return float("inf")
-        return _trace_inverse_guarded(self._position_fim(z))
+        value, singular = _trace_inverse_2x2(self._position_fim(z))
+        return float("inf") if singular else value
 
     def _aggregate_gradient(self, z: np.ndarray) -> np.ndarray:
         """Partial derivatives of the objective in the aggregates.
@@ -572,40 +543,35 @@ def fim_entrywise(scenario: Scenario, bc: BeamCovariance) -> FisherBundle:
 
 
 def bundle_from_fim(J: np.ndarray, jacobian: np.ndarray, gain: complex) -> FisherBundle:
-    """Partition a 5x5 information matrix and derive bounds."""
+    """Partition a 5x5 information matrix and derive bounds; gain fixes the
+    gain-phase direction u = [-Im g, Re g] / |g| of the known-gain form (at
+    zero gain every cross entry of the closed form vanishes, and u = 0)."""
     J = np.asarray(J, dtype=float)
-    J11 = J[:2, :2].copy()
-    J12 = J[:2, 2:].copy()
     J22 = J[2:, 2:].copy()
     # a zero gain block means zero cross terms too, so there is no penalty
-    J_e = J22.copy() if J11[0, 0] <= 0.0 else _schur(J)
+    if J[0, 0] <= 0.0:
+        J_e, J_eh = J22.copy(), J22.copy()
+    else:
+        mag = abs(gain)
+        u = np.array([-gain.imag, gain.real]) / mag if mag > 0.0 else np.zeros(2)
+        J_e, J_eh = _schur(J), _schur(J, np.outer(u, u))
+    jacobian = np.asarray(jacobian, dtype=float).copy()
     pos_fim = jacobian @ J_e @ jacobian.T
     speb, singular = _trace_inverse_2x2(pos_fim)
-
-    if abs(gain) > 0.0:
-        J_eh = _known_gain_reduce(J11, J12, J22, gain)
-        pos_fim_kg = jacobian @ J_eh @ jacobian.T
-        speb_kg, singular_kg = _trace_inverse_2x2(pos_fim_kg)
-    else:
-        J_eh = np.full((3, 3), np.nan)
-        pos_fim_kg = np.full((2, 2), np.nan)
-        speb_kg, singular_kg = float("nan"), True
-
+    speb_kg, singular_kg = _trace_inverse_2x2(jacobian @ J_eh @ jacobian.T)
     return FisherBundle(
         J=J,
-        J11=J11,
-        J12=J12,
+        J11=J[:2, :2].copy(),
+        J12=J[:2, 2:].copy(),
         J22=J22,
         J_e=J_e,
         J_eh=J_eh,
-        jacobian=np.asarray(jacobian, dtype=float).copy(),
+        jacobian=jacobian,
         position_fim=pos_fim,
-        position_fim_known_gain=pos_fim_kg,
         speb=speb,
         speb_known_gain=speb_kg,
         singular=singular,
         singular_known_gain=singular_kg,
-        gain=complex(gain),
     )
 
 
@@ -627,27 +593,22 @@ def peb(bundle: FisherBundle) -> float:
     return float(np.sqrt(speb(bundle)))
 
 
-def speb_known_gain(bundle: FisherBundle, gain: complex | None = None) -> float:
-    """SPEB with the gain magnitude known (phase still unknown).
+def speb_known_gain(bundle: FisherBundle) -> float:
+    """SPEB with the gain magnitude known (phase still unknown), m^2: the
+    bound of J_eh, the Schur complement over the gain-phase direction alone.
 
-    With gain omitted, uses the value the bundle was built with. Never larger
-    than speb(bundle); equal whenever the beam blocks put no real part into
-    the cross-direction entries.
+    Never larger than speb(bundle); equal whenever the beam blocks put no
+    real part into the cross-direction entries.
+
+    Raises:
+        SingularEFIM: known-gain position information failed the condition
+            guard.
     """
-    if gain is None or complex(gain) == bundle.gain:
-        if bundle.singular_known_gain:
-            raise SingularEFIM(
-                f"known-gain position information condition number exceeds {COND_LIMIT:.1e}"
-            )
-        return bundle.speb_known_gain
-    J_eh = _known_gain_reduce(bundle.J11, bundle.J12, bundle.J22, complex(gain))
-    pos = bundle.jacobian @ J_eh @ bundle.jacobian.T
-    value, singular = _trace_inverse_2x2(pos)
-    if singular:
+    if bundle.singular_known_gain:
         raise SingularEFIM(
             f"known-gain position information condition number exceeds {COND_LIMIT:.1e}"
         )
-    return value
+    return bundle.speb_known_gain
 
 
 def fim_from_derivatives(

@@ -850,6 +850,13 @@ def test_reduced_start_scope():
     sc = default_scenario(n_tx=1, n_subcarriers=3)
     blocks = _reduced_start(_Kernel.build(sc), sc)
     assert np.array_equal(blocks, _outer_equal_split(sc))
+    wide = default_scenario(narrowband=False, n_subcarriers=5)
+    offsets = np.abs(np.asarray(wide.subcarrier_offsets))
+    outer = offsets == offsets.max()
+    expected = np.zeros((wide.n_subcarriers, 2, 2), dtype=complex)
+    expected[outer] = wide.power_budget / (2 * outer.sum()) * np.eye(2)
+    assert outer.sum() == 2 and wide.n_subcarriers > 2
+    assert np.array_equal(_outer_equal_split(wide), expected)
 
 
 def test_disk_solve_beats_a_dense_search(rng):

@@ -199,6 +199,23 @@ def test_zero_blocks_singular():
     assert bundle.singular
     with pytest.raises(SingularEFIM):
         speb(bundle)
+    # j11 = 0: neither gain case has a penalty, and the known-gain bound is
+    # flagged just as the unknown-gain one
+    assert np.array_equal(bundle.J_eh, bundle.J22)
+    assert np.array_equal(bundle.J_e, bundle.J22)
+    assert bundle.singular_known_gain
+    with pytest.raises(SingularEFIM):
+        speb_known_gain(bundle)
+
+
+def test_zero_gain_removes_no_known_gain_direction():
+    # every cross entry is proportional to the gain, so no direction is
+    # removed and the known-gain form is J22, here zero and flagged singular
+    scn = default_scenario(gain=0.0)
+    bundle = fim_entrywise(scn, BeamCovariance.uniform(scn))
+    assert bundle.J11[0, 0] > 0.0 and np.all(bundle.J12 == 0.0)
+    assert np.array_equal(bundle.J_eh, bundle.J22)
+    assert bundle.singular and bundle.singular_known_gain
 
 
 def test_rank_one_pilot_gives_no_departure_information():
@@ -366,13 +383,6 @@ def test_wideband_narrowband_converge_for_small_offsets(rng):
     s_wb = speb(fim_entrywise(scn_wb, bc))
     assert s_wb == pytest.approx(s_nb, rel=1e-2)
     assert s_wb != s_nb  # but they are genuinely different evaluations
-
-
-def test_known_gain_with_explicit_gain_argument(rng):
-    scn = default_scenario(gain_phase=0.3)
-    bc = random_feasible_blocks(rng, scn)
-    bundle = fim_entrywise(scn, bc)
-    assert speb_known_gain(bundle, scn.gain) == speb_known_gain(bundle)
 
 
 def test_uniform_blocks_touch_budget():
