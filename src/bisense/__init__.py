@@ -19,7 +19,6 @@ from .beamform_opt import (
     speb_gradient,
 )
 from .config import (
-    GridConfig,
     RunConfig,
     ScenarioConfig,
     build_grid,
@@ -74,7 +73,6 @@ __all__ = [
     "DegenerateGeometry",
     "FisherBundle",
     "GeometryState",
-    "GridConfig",
     "GridSpec",
     "InfeasibleScenario",
     "InvalidAlpha",

@@ -16,10 +16,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -35,13 +33,12 @@ from .config import (
 )
 from .errors import ConfigError, DegenerateGeometry, InfeasibleScenario
 from .sweep import (
-    SCHEMA_VERSION,
     STATUS_EXCLUDED,
+    STATUS_LABELS,
     STATUS_NO_CONVERGENCE,
     STATUS_OK,
     STATUS_SINGULAR,
     role_sweep,
-    scenario_metadata,
     sweep,
     write_metadata,
     write_role_csv,
@@ -69,9 +66,12 @@ def _parse_target(text: str) -> tuple[float, float]:
     if len(parts) != 2:
         raise ConfigError(f"--target expects 'X,Y' in meters, got {text!r}")
     try:
-        return float(parts[0]), float(parts[1])
+        target = float(parts[0]), float(parts[1])
     except ValueError as exc:
         raise ConfigError(f"--target expects numbers, got {text!r}") from exc
+    if not all(np.isfinite(target)):
+        raise ConfigError(f"--target expects finite numbers, got {text!r}")
+    return target
 
 
 def _resolve_out_dir(args, config: RunConfig) -> Path:
@@ -96,31 +96,30 @@ def _cmd_optimize_point(args) -> int:
     out_dir = _resolve_out_dir(args, config)
     result = optimize(scenario, options)
 
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "optimize-point",
-        "created_at": datetime.now(timezone.utc).isoformat(),
-        "scenario": scenario_metadata(scenario, config.scenario.rcs_coeff_m),
-        "target_m": [scenario.p_s.x, scenario.p_s.y],
-        "solver": dataclasses.asdict(options),
-        "result": {
-            "speb_m2": result.speb,
-            "peb_m": result.peb,
-            "converged": result.converged,
-            "exit_reason": result.exit_reason,
-            "iterations": result.iterations,
-            "kkt_residual": result.kkt_residual,
-            "optimality_gap_rel": result.optimality_gap_rel,
-            "power_share_toward_target": result.power_share_toward_target,
-            "rank_profile": list(result.rank_profile),
-            "beam_blocks_re": result.beam.blocks.real.tolist(),
-            "beam_blocks_im": result.beam.blocks.imag.tolist(),
-        },
-    }
     report_path = out_dir / "optimize_point.json"
-    with open(report_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_metadata(
+        report_path,
+        "optimize-point",
+        scenario,
+        options,
+        rcs_coeff_m=config.scenario.rcs_coeff_m,
+        extra={
+            "target_m": [scenario.p_s.x, scenario.p_s.y],
+            "result": {
+                "speb_m2": result.speb,
+                "peb_m": result.peb,
+                "converged": result.converged,
+                "exit_reason": result.exit_reason,
+                "iterations": result.iterations,
+                "kkt_residual": result.kkt_residual,
+                "optimality_gap_rel": result.optimality_gap_rel,
+                "power_share_toward_target": result.power_share_toward_target,
+                "rank_profile": list(result.rank_profile),
+                "beam_blocks_re": result.beam.blocks.real.tolist(),
+                "beam_blocks_im": result.beam.blocks.imag.tolist(),
+            },
+        },
+    )
 
     print(f"target: ({scenario.p_s.x:g}, {scenario.p_s.y:g}) m")
     print(f"peb: {result.peb:.6g} m  (speb {result.speb:.6g} m^2)")
@@ -148,12 +147,6 @@ def _status_counts(status: np.ndarray) -> dict[str, int]:
     }
 
 
-def _gap_max(*results) -> float | None:
-    """Largest certified optimality gap over the ok cells of the sweeps."""
-    gaps = np.concatenate([r.gap[r.status == STATUS_OK] for r in results])
-    return float(gaps.max()) if gaps.size else None
-
-
 def _cmd_map(args) -> int:
     config = _load(args)
     scenario = build_scenario(config)
@@ -166,50 +159,40 @@ def _cmd_map(args) -> int:
 
     csv_path = out_dir / f"{args.kind}_map.csv"
     meta_path = out_dir / f"{args.kind}_map.json"
+    extra = {
+        "csv": csv_path.name,
+        "grid": dataclasses.asdict(grid),
+        "status_labels": {str(k): v for k, v in STATUS_LABELS.items()},
+    }
     if args.kind == "role":
         result = role_sweep(scenario, grid, options, rcs_coeff_m=rcs)
         write_role_csv(result, csv_path)
-        fraction = min(
-            result.forward.convergence_fraction(), result.reverse.convergence_fraction()
-        )
-        counts = _status_counts(result.best_status())
+        sweeps, status = (result.forward, result.reverse), result.best_status()
         flags = result.role_flag
-        extra = {
-            "convergence_fraction": fraction,
-            "status_counts": counts,
-            "optimality_gap_max": _gap_max(result.forward, result.reverse),
-            "role_cells": {
-                "forward": int((flags > 0).sum()),
-                "reverse": int((flags < 0).sum()),
-                "tie": int((flags == 0).sum()),
-            },
-            "csv": csv_path.name,
+        extra["role_cells"] = {
+            "forward": int((flags > 0).sum()),
+            "reverse": int((flags < 0).sum()),
+            "tie": int((flags == 0).sum()),
         }
     else:
         result = sweep(scenario, grid, options, rcs_coeff_m=rcs)
         write_sweep_csv(result, csv_path)
-        fraction = result.convergence_fraction()
-        counts = _status_counts(result.status)
-        extra = {
-            "convergence_fraction": fraction,
-            "status_counts": counts,
-            "optimality_gap_max": _gap_max(result),
-            "csv": csv_path.name,
-        }
-    write_metadata(
-        meta_path,
-        f"{args.kind}-map",
-        scenario,
-        grid,
-        options,
-        rcs_coeff_m=rcs,
-        extra=extra,
+        sweeps, status = (result,), result.status
+    fraction = min(r.convergence_fraction() for r in sweeps)
+    counts = _status_counts(status)
+    # largest certified optimality gap over the ok cells of every sweep
+    gaps = np.concatenate([r.gap[r.status == STATUS_OK] for r in sweeps])
+    extra.update(
+        convergence_fraction=fraction,
+        status_counts=counts,
+        optimality_gap_max=float(gaps.max()) if gaps.size else None,
     )
+    write_metadata(meta_path, f"{args.kind}-map", scenario, options, rcs_coeff_m=rcs, extra=extra)
 
     total = grid.nx * grid.ny
     print(
-        f"grid: {grid.nx}x{grid.ny} over x [{grid.x_min:g}, {grid.x_max:g}] m, "
-        f"y [{grid.y_min:g}, {grid.y_max:g}] m"
+        f"grid: {grid.nx}x{grid.ny} over x [{grid.x_min_m:g}, {grid.x_max_m:g}] m, "
+        f"y [{grid.y_min_m:g}, {grid.y_max_m:g}] m"
     )
     print(
         f"cells: {total} total, {counts['ok']} converged, {counts['excluded']} excluded, "
@@ -229,6 +212,8 @@ def _cmd_map(args) -> int:
 def _cmd_validate(args) -> int:
     from .validate import format_results, run_validation
 
+    if args.seed < 0:
+        raise ConfigError(f"--seed expects a non-negative integer, got {args.seed}")
     config = _load(args)
     results = run_validation(config, seed=args.seed)
     print(format_results(results))

@@ -8,6 +8,8 @@ rejected so that typos fail loudly instead of silently running defaults.
 from __future__ import annotations
 
 import dataclasses
+import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,9 +22,21 @@ from .fisher import Scenario, subcarrier_offsets_rad
 from .geometry import SPEED_OF_LIGHT, Position2D
 from .sweep import DEFAULT_RCS_COEFF_M, GridSpec, channel_gain
 
+
 # libyaml's parser when PyYAML was built with it; the pure-Python one parses
 # the default config about eight times slower
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+class _YAML_LOADER(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """Safe loader that also reads YAML 1.2 floats: PyYAML follows YAML 1.1,
+    where an exponent needs a sign, so 3.8e9 would load as a string. The
+    added resolver is checked after the YAML 1.1 ones, so it only claims
+    scalars that would otherwise be strings."""
+
+
+_YAML_LOADER.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."),
+)
 
 
 @dataclass(frozen=True)
@@ -44,22 +58,10 @@ class ScenarioConfig:
 
 
 @dataclass(frozen=True)
-class GridConfig:
-    x_min_m: float = -40.0
-    x_max_m: float = 40.0
-    y_min_m: float = -40.0
-    y_max_m: float = 40.0
-    nx: int = 41
-    ny: int = 41
-    exclusion_radius_m: float = 0.5
-    baseline_halfwidth_m: float = 0.05
-
-
-@dataclass(frozen=True)
 class RunConfig:
     scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
     solver: OptOptions = field(default_factory=OptOptions)
-    grid: GridConfig = field(default_factory=GridConfig)
+    grid: GridSpec = field(default_factory=GridSpec)
     out_dir: str | None = None
 
 
@@ -83,7 +85,13 @@ def _coerce_scalar(value, annotation, path: str):
     if annotation == "float":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path}: expected a number, got {value!r}")
-        return float(value)
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        if not math.isfinite(number):
+            raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+        return number
     if annotation.startswith("tuple"):
         if not isinstance(value, (list, tuple)) or len(value) != 2:
             raise ConfigError(f"{path}: expected a pair [x, y], got {value!r}")
@@ -108,7 +116,10 @@ def _coerce_section(cls, data, path: str):
         name: _coerce_scalar(value, str(fields[name].type), f"{path}.{name}")
         for name, value in data.items()
     }
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"invalid {path} parameters: {exc}") from exc
 
 
 def config_from_dict(data: dict | None) -> RunConfig:
@@ -123,7 +134,7 @@ def config_from_dict(data: dict | None) -> RunConfig:
     return RunConfig(
         scenario=_coerce_section(ScenarioConfig, data.get("scenario"), "scenario"),
         solver=_coerce_section(OptOptions, data.get("solver"), "solver"),
-        grid=_coerce_section(GridConfig, data.get("grid"), "grid"),
+        grid=_coerce_section(GridSpec, data.get("grid"), "grid"),
         out_dir=_coerce_scalar(data.get("out_dir"), "str | None", "out_dir"),
     )
 
@@ -200,20 +211,7 @@ def build_scenario(config: RunConfig, target: tuple[float, float] | None = None)
 
 
 def build_grid(config: RunConfig) -> GridSpec:
-    g = config.grid
-    try:
-        return GridSpec(
-            x_min=g.x_min_m,
-            x_max=g.x_max_m,
-            y_min=g.y_min_m,
-            y_max=g.y_max_m,
-            nx=g.nx,
-            ny=g.ny,
-            exclusion_radius_m=g.exclusion_radius_m,
-            baseline_halfwidth_m=g.baseline_halfwidth_m,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid grid parameters: {exc}") from exc
+    return config.grid
 
 
 def build_options(config: RunConfig) -> OptOptions:

@@ -110,9 +110,12 @@ class Scenario:
         offs = np.asarray(self.subcarrier_offsets, dtype=float)
         if not np.all(np.isfinite(offs)):
             raise ValueError("subcarrier offsets must be finite")
+        reach = float(np.max(np.abs(offs)))
+        if not reach < self.omega_carrier:
+            raise ValueError("every subcarrier must lie above zero frequency")
         if self.symmetric_subcarriers:
             mirrored = np.sort(-offs)
-            scale = max(1.0, float(np.max(np.abs(offs))))
+            scale = max(1.0, reach)
             if not np.allclose(np.sort(offs), mirrored, atol=1e-9 * scale, rtol=0):
                 raise ValueError(
                     "subcarrier offsets declared symmetric but the grid is not"

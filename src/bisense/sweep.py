@@ -25,7 +25,7 @@ from .errors import DegenerateGeometry, InfeasibleScenario
 from .fisher import BeamCovariance, Scenario
 from .geometry import Position2D
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 STATUS_OK = 0
 STATUS_EXCLUDED = 1
@@ -79,19 +79,19 @@ def swap_roles(scenario: Scenario) -> Scenario:
 @dataclass(frozen=True)
 class GridSpec:
     """Rectangular target grid with terminal-exclusion and baseline-strip
-    half-widths (meters)."""
+    half-widths (meters); the config's grid section."""
 
-    x_min: float = -40.0
-    x_max: float = 40.0
-    y_min: float = -40.0
-    y_max: float = 40.0
+    x_min_m: float = -40.0
+    x_max_m: float = 40.0
+    y_min_m: float = -40.0
+    y_max_m: float = 40.0
     nx: int = 41
     ny: int = 41
     exclusion_radius_m: float = 0.5
     baseline_halfwidth_m: float = 0.05
 
     def __post_init__(self):
-        if not (self.x_min < self.x_max and self.y_min < self.y_max):
+        if not (self.x_min_m < self.x_max_m and self.y_min_m < self.y_max_m):
             raise ValueError("grid bounds must satisfy min < max")
         if self.nx < 2 or self.ny < 2:
             raise ValueError("grid needs at least 2 points per axis")
@@ -99,10 +99,10 @@ class GridSpec:
             raise ValueError("grid margins must be non-negative")
 
     def xs(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.nx)
+        return np.linspace(self.x_min_m, self.x_max_m, self.nx)
 
     def ys(self) -> np.ndarray:
-        return np.linspace(self.y_min, self.y_max, self.ny)
+        return np.linspace(self.y_min_m, self.y_max_m, self.ny)
 
     def refined(self, factor: int) -> "GridSpec":
         """Same extent with (n-1)*factor+1 points per axis."""
@@ -334,41 +334,34 @@ def write_role_csv(result: RoleSweepResult, path) -> None:
         fh.write(text)
 
 
-def scenario_metadata(scenario: Scenario, rcs_coeff_m: float) -> dict:
-    return {
-        "p_t_m": [scenario.p_t.x, scenario.p_t.y],
-        "p_r_m": [scenario.p_r.x, scenario.p_r.y],
-        "n_tx": scenario.n_tx,
-        "n_rx": scenario.n_rx,
-        "carrier_hz": scenario.omega_carrier / (2.0 * np.pi),
-        "subcarrier_offsets_hz": [
-            w / (2.0 * np.pi) for w in scenario.subcarrier_offsets
-        ],
-        "noise_power_watts": scenario.noise_power,
-        "power_budget_watts": scenario.power_budget,
-        "narrowband": scenario.narrowband,
-        "gain_model": {"kind": "two-hop-scalar", "rcs_coeff_m": rcs_coeff_m},
-    }
-
-
 def write_metadata(
     path,
     kind: str,
     scenario: Scenario,
-    grid: GridSpec,
     options: OptOptions,
     rcs_coeff_m: float = DEFAULT_RCS_COEFF_M,
     extra: dict | None = None,
 ) -> None:
-    """JSON sidecar describing how the matching CSV was produced."""
+    """JSON report of one run: the scenario and solver settings, plus the
+    command's own entries in extra (a point's result, a map's grid and
+    summary)."""
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": kind,
         "created_at": datetime.now(timezone.utc).isoformat(),
-        "scenario": scenario_metadata(scenario, rcs_coeff_m),
-        "grid": dataclasses.asdict(grid),
+        "scenario": {
+            "p_t_m": [scenario.p_t.x, scenario.p_t.y],
+            "p_r_m": [scenario.p_r.x, scenario.p_r.y],
+            "n_tx": scenario.n_tx,
+            "n_rx": scenario.n_rx,
+            "carrier_hz": scenario.omega_carrier / (2.0 * np.pi),
+            "subcarrier_offsets_hz": [w / (2.0 * np.pi) for w in scenario.subcarrier_offsets],
+            "noise_power_watts": scenario.noise_power,
+            "power_budget_watts": scenario.power_budget,
+            "narrowband": scenario.narrowband,
+            "gain_model": {"kind": "two-hop-scalar", "rcs_coeff_m": rcs_coeff_m},
+        },
         "solver": dataclasses.asdict(options),
-        "status_labels": {str(k): v for k, v in STATUS_LABELS.items()},
     }
     if extra:
         payload.update(extra)

@@ -23,7 +23,6 @@ from bisense.cli import (
     main,
 )
 from bisense.config import (
-    GridConfig,
     RunConfig,
     ScenarioConfig,
     build_grid,
@@ -36,6 +35,7 @@ from bisense.config import (
 )
 from bisense.errors import ConfigError
 from bisense.fisher import BeamCovariance, _Kernel, fim_entrywise
+from bisense.sweep import GridSpec
 from bisense.validate import format_results, run_validation
 
 from conftest import default_scenario
@@ -66,7 +66,7 @@ def test_partial_config_inherits_defaults(tmp_path):
     assert cfg.scenario.n_rx == 7
     assert cfg.scenario.n_tx == ScenarioConfig().n_tx
     assert cfg.grid.nx == 5
-    assert cfg.grid.ny == GridConfig().ny
+    assert cfg.grid.ny == GridSpec().ny
     assert cfg.out_dir is None
 
 
@@ -101,6 +101,11 @@ def test_unknown_keys_rejected(doc):
         {"scenario": {"tx_position_m": 5.0}},
         {"out_dir": 7},
         {"scenario": [1, 2]},
+        {"scenario": {"tx_position_m": [float("nan"), 0.0]}},
+        {"scenario": {"noise_power_watts": float("inf")}},
+        {"scenario": {"power_budget_watts": float("inf")}},
+        {"grid": {"exclusion_radius_m": float("nan")}},
+        {"scenario": {"carrier_hz": 10**400}},
         "not a mapping",
     ],
 )
@@ -121,6 +126,11 @@ def test_pure_python_yaml_loader_parses_the_same(tmp_path, monkeypatch):
     dump_config(default_config(), default_path)
     partial_path = tmp_path / "partial.yaml"
     partial_path.write_text("scenario:\n  n_rx: 7\ngrid:\n  nx: 5\n")
+    exponent_path = tmp_path / "exponent.yaml"  # YAML 1.1 reads 3.8e9 as a string
+    exponent_path.write_text(
+        "scenario:\n  carrier_hz: 3.8e9\n  subcarrier_spacing_hz: 2.4E+6\n"
+        "  power_budget_watts: 1e-2\n  noise_power_watts: .24e-13\n"
+    )
     bad_path = tmp_path / "bad.yaml"
     bad_path.write_text("scenario: [unclosed\n")
 
@@ -129,10 +139,17 @@ def test_pure_python_yaml_loader_parses_the_same(tmp_path, monkeypatch):
             load_config(bad_path)
         cause = err.value.__cause__
         marks = [(m.line, m.column) for m in (cause.context_mark, cause.problem_mark)]
-        return load_config(default_path), load_config(partial_path), type(cause), marks
+        loaded = [load_config(p) for p in (default_path, partial_path, exponent_path)]
+        return loaded, type(cause), marks
 
     configured = outcome()
-    monkeypatch.setattr(config_module, "_YAML_LOADER", yaml.SafeLoader)
+    assert configured[0][2] == default_config()
+    pure = type(
+        "PureLoader",
+        (yaml.SafeLoader,),
+        {"yaml_implicit_resolvers": config_module._YAML_LOADER.yaml_implicit_resolvers},
+    )
+    monkeypatch.setattr(config_module, "_YAML_LOADER", pure)
     assert outcome() == configured
 
 
@@ -163,8 +180,14 @@ def test_bad_scenario_values_become_config_errors():
     cfg = RunConfig(scenario=ScenarioConfig(noise_power_watts=-1.0))
     with pytest.raises(ConfigError, match="invalid scenario"):
         build_scenario(cfg)
+    # the outer subcarriers sit at 3.8 GHz -/+ 6 GHz, one below zero frequency
+    below_zero = ScenarioConfig(
+        subcarrier_count=4, subcarrier_spacing_hz=3.0e9, narrowband=False
+    )
+    with pytest.raises(ConfigError, match="invalid scenario"):
+        build_scenario(RunConfig(scenario=below_zero))
     with pytest.raises(ConfigError, match="invalid grid"):
-        build_grid(RunConfig(grid=GridConfig(nx=1)))
+        config_from_dict({"grid": {"nx": 1}})
 
 
 def test_target_override_replaces_config_target_and_gain():
@@ -288,6 +311,8 @@ def test_optimize_point_target_override(tmp_path, capsys):
         ("10,0", EXIT_INFEASIBLE),  # coincides with a terminal
         ("bogus", EXIT_CONFIG),
         ("1,2,3", EXIT_CONFIG),
+        ("nan,1", EXIT_CONFIG),
+        ("1,inf", EXIT_CONFIG),
     ],
 )
 def test_optimize_point_failure_exit_codes(tmp_path, capsys, target, expected):
@@ -372,8 +397,12 @@ def test_map_writes_csv_and_metadata(tmp_path, capsys):
     assert len(lines) == 1 + 25
     meta = json.loads((out_dir / "peb_map.json").read_text())
     assert meta["kind"] == "peb-map"
+    assert meta["schema_version"] == "2"
     assert meta["convergence_fraction"] == 1.0
     assert meta["grid"]["nx"] == 5
+    # the sidecar's grid uses the config's keys, so it loads back as a grid section
+    assert config_from_dict({"grid": meta["grid"]}).grid == build_grid(load_config(cfg))
+    assert meta["status_labels"]["2"] == "singular-EFIM"
     assert meta["csv"] == "peb_map.csv"
     counts = meta["status_counts"]
     assert counts["ok"] + counts["excluded"] + counts["singular"] == 25
@@ -498,6 +527,12 @@ def test_validate_cli_green_and_red(tmp_path, capsys):
     code, out, _ = run_cli("validate", "--config", str(cfg), capsys=capsys)
     assert code == EXIT_VALIDATION
     assert "FAIL" in out
+
+
+def test_validate_rejects_negative_seed(capsys):
+    code, _, err = run_cli("validate", "--seed", "-1", capsys=capsys)
+    assert code == EXIT_CONFIG
+    assert "--seed" in err
 
 
 def test_console_module_entry():

@@ -67,9 +67,9 @@ def test_grid_spec_axes_and_refinement():
     assert ys[0] == -40.0 and ys[-1] == 40.0 and len(ys) == 41
     fine = grid.refined(4)
     assert fine.nx == 161 and fine.ny == 161
-    assert fine.x_min == grid.x_min and fine.x_max == grid.x_max
+    assert fine.x_min_m == grid.x_min_m and fine.x_max_m == grid.x_max_m
     with pytest.raises(ValueError):
-        GridSpec(x_min=1.0, x_max=-1.0)
+        GridSpec(x_min_m=1.0, x_max_m=-1.0)
     with pytest.raises(ValueError):
         GridSpec(nx=1)
     with pytest.raises(ValueError):
@@ -77,7 +77,7 @@ def test_grid_spec_axes_and_refinement():
 
 
 def small_grid():
-    return GridSpec(x_min=-15.0, x_max=15.0, y_min=-15.0, y_max=15.0, nx=7, ny=7)
+    return GridSpec(x_min_m=-15.0, x_max_m=15.0, y_min_m=-15.0, y_max_m=15.0, nx=7, ny=7)
 
 
 def test_sweep_status_layout():
@@ -106,7 +106,7 @@ def test_sweep_status_layout():
 def test_sweep_behind_terminal_transect():
     """The singular strip stops at the terminals: along the baseline ray
     behind the receiver the bound is finite and grows with range."""
-    grid = GridSpec(x_min=12.0, x_max=27.0, y_min=-1.0, y_max=1.0, nx=4, ny=3)
+    grid = GridSpec(x_min_m=12.0, x_max_m=27.0, y_min_m=-1.0, y_max_m=1.0, nx=4, ny=3)
     res = sweep(default_scenario(), grid)
     row = int(np.flatnonzero(res.ys == 0.0)[0])
     assert np.all(res.status[row] == STATUS_OK)
@@ -117,7 +117,7 @@ def test_sweep_mirror_symmetry_with_equal_arrays():
     """x -> -x maps the scene onto the role-swapped scene; with equal arrays
     at both sites the two sweeps must mirror each other."""
     sc = default_scenario(n_tx=5, n_rx=5)
-    grid = GridSpec(x_min=-20.0, x_max=20.0, y_min=-20.0, y_max=20.0, nx=5, ny=5)
+    grid = GridSpec(x_min_m=-20.0, x_max_m=20.0, y_min_m=-20.0, y_max_m=20.0, nx=5, ny=5)
     fwd = sweep(sc, grid)
     rev = sweep(swap_roles(sc), grid)
     mirrored = rev.peb[:, ::-1]
@@ -129,7 +129,7 @@ def test_sweep_mirror_symmetry_with_equal_arrays():
 
 def test_sweep_deterministic():
     sc = default_scenario()
-    grid = GridSpec(x_min=-18.0, x_max=18.0, y_min=-18.0, y_max=18.0, nx=4, ny=4)
+    grid = GridSpec(x_min_m=-18.0, x_max_m=18.0, y_min_m=-18.0, y_max_m=18.0, nx=4, ny=4)
     a = sweep(sc, grid)
     b = sweep(sc, grid)
     assert np.array_equal(a.peb, b.peb, equal_nan=True)
@@ -139,7 +139,7 @@ def test_sweep_deterministic():
 
 def test_sweep_csv_deterministic(tmp_path):
     sc = default_scenario()
-    grid = GridSpec(x_min=-18.0, x_max=18.0, y_min=-18.0, y_max=18.0, nx=4, ny=4)
+    grid = GridSpec(x_min_m=-18.0, x_max_m=18.0, y_min_m=-18.0, y_max_m=18.0, nx=4, ny=4)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     write_sweep_csv(sweep(sc, grid), p1)
     write_sweep_csv(sweep(sc, grid), p2)
@@ -150,7 +150,7 @@ def test_scattering_scale_rescales_bound_exactly():
     """Gain magnitude scaling s multiplies the bound by 1/s; for a power of
     two the whole solve path rescales without rounding."""
     sc = default_scenario()
-    grid = GridSpec(x_min=-18.0, x_max=18.0, y_min=-18.0, y_max=18.0, nx=4, ny=4)
+    grid = GridSpec(x_min_m=-18.0, x_max_m=18.0, y_min_m=-18.0, y_max_m=18.0, nx=4, ny=4)
     base = sweep(sc, grid, rcs_coeff_m=0.1)
     strong = sweep(sc, grid, rcs_coeff_m=0.4)
     assert np.array_equal(base.status, strong.status)
@@ -162,7 +162,7 @@ def test_scattering_scale_rescales_bound_exactly():
 
 def test_baseline_halfwidth_marks_strip():
     sc = default_scenario()
-    grid = GridSpec(x_min=-1.0, x_max=1.0, y_min=0.04, y_max=10.0, nx=2, ny=2)
+    grid = GridSpec(x_min_m=-1.0, x_max_m=1.0, y_min_m=0.04, y_max_m=10.0, nx=2, ny=2)
     res = sweep(sc, grid)
     assert np.all(res.status[0] == STATUS_SINGULAR)  # y = 0.04 row
     assert np.all(res.status[1] == STATUS_OK)  # y = 10 row
@@ -172,7 +172,7 @@ def test_role_sweep_closer_site_receives():
     """With identical arrays the better assignment makes the nearer site the
     receiver; the equidistant column is an exact tie."""
     sc = default_scenario(n_tx=5, n_rx=5)
-    grid = GridSpec(x_min=-20.0, x_max=20.0, y_min=-20.0, y_max=20.0, nx=5, ny=5)
+    grid = GridSpec(x_min_m=-20.0, x_max_m=20.0, y_min_m=-20.0, y_max_m=20.0, nx=5, ny=5)
     rs = role_sweep(sc, grid)
     both = np.isfinite(rs.forward.peb) & np.isfinite(rs.reverse.peb)
     xs = rs.forward.xs
@@ -189,7 +189,7 @@ def test_role_sweep_closer_site_receives():
 
 def test_role_best_layers_follow_flag():
     sc = default_scenario(n_tx=5, n_rx=5)
-    grid = GridSpec(x_min=-20.0, x_max=20.0, y_min=-20.0, y_max=20.0, nx=5, ny=3)
+    grid = GridSpec(x_min_m=-20.0, x_max_m=20.0, y_min_m=-20.0, y_max_m=20.0, nx=5, ny=3)
     rs = role_sweep(sc, grid)
     best = rs.best_peb()
     both = np.isfinite(rs.forward.peb) & np.isfinite(rs.reverse.peb)
@@ -207,7 +207,7 @@ def test_role_best_layers_follow_flag():
 
 def test_csv_format_and_roundtrip(tmp_path):
     sc = default_scenario()
-    grid = GridSpec(x_min=-18.0, x_max=18.0, y_min=-6.0, y_max=18.0, nx=4, ny=3)
+    grid = GridSpec(x_min_m=-18.0, x_max_m=18.0, y_min_m=-6.0, y_max_m=18.0, nx=4, ny=3)
     res = sweep(sc, grid)
     path = tmp_path / "map.csv"
     write_sweep_csv(res, path)
@@ -227,7 +227,7 @@ def test_csv_format_and_roundtrip(tmp_path):
 
 def test_role_csv_flags(tmp_path):
     sc = default_scenario(n_tx=5, n_rx=5)
-    grid = GridSpec(x_min=-20.0, x_max=20.0, y_min=5.0, y_max=15.0, nx=5, ny=2)
+    grid = GridSpec(x_min_m=-20.0, x_max_m=20.0, y_min_m=5.0, y_max_m=15.0, nx=5, ny=2)
     rs = role_sweep(sc, grid)
     path = tmp_path / "role.csv"
     write_role_csv(rs, path)
@@ -239,20 +239,17 @@ def test_role_csv_flags(tmp_path):
 
 def test_metadata_sidecar(tmp_path):
     sc = default_scenario()
-    grid = GridSpec()
     path = tmp_path / "map.json"
-    write_metadata(path, "peb", sc, grid, OptOptions(), extra={"note": "unit test"})
+    write_metadata(path, "peb", sc, OptOptions(), extra={"note": "unit test"})
     meta = json.loads(path.read_text())
-    assert meta["schema_version"] == "1"
+    assert meta["schema_version"] == "2"
     assert meta["kind"] == "peb"
     assert meta["scenario"]["carrier_hz"] == pytest.approx(CARRIER_HZ)
     assert meta["scenario"]["n_tx"] == 15 and meta["scenario"]["n_rx"] == 3
     assert meta["solver"]["grad_tol"] == OptOptions().grad_tol
     assert meta["solver"]["gap_tol"] == OptOptions().gap_tol
-    assert meta["grid"]["nx"] == 41
     assert meta["note"] == "unit test"
     assert "created_at" in meta
-    assert meta["status_labels"]["2"] == "singular-EFIM"
 
 
 @pytest.mark.parametrize("gap_tol", [1e-6, 1e-4])
@@ -261,7 +258,7 @@ def test_role_tie_within_certified_gaps(gap_tol):
     differ by less than their certified gaps do not rank the assignments: the
     equidistant column stays a tie at any valid gap_tol."""
     sc = default_scenario(n_tx=5, n_rx=5)
-    grid = GridSpec(x_min=-20.0, x_max=20.0, y_min=-20.0, y_max=20.0, nx=5, ny=5)
+    grid = GridSpec(x_min_m=-20.0, x_max_m=20.0, y_min_m=-20.0, y_max_m=20.0, nx=5, ny=5)
     rs = role_sweep(sc, grid, OptOptions(gap_tol=gap_tol, grad_tol=0.0))
     column = rs.forward.xs == 0.0
     both = (np.isfinite(rs.forward.peb) & np.isfinite(rs.reverse.peb))[:, column]
@@ -297,7 +294,7 @@ def test_sweep_starts_cells_from_extrapolated_optima(monkeypatch):
     monkeypatch.setattr(sweep_module, "optimize", recording_optimize)
     sc = default_scenario(narrowband=False)
     # y = 0: ok, ok, excluded, singular x3, excluded, ok, ok; y = 12: all ok
-    grid = GridSpec(x_min=-20.0, x_max=20.0, y_min=0.0, y_max=12.0, nx=9, ny=2)
+    grid = GridSpec(x_min_m=-20.0, x_max_m=20.0, y_min_m=0.0, y_max_m=12.0, nx=9, ny=2)
     res = sweep(sc, grid)
     assert list(res.status[0]) == [STATUS_OK] * 2 + [STATUS_EXCLUDED] + [
         STATUS_SINGULAR
@@ -340,7 +337,7 @@ def test_narrowband_cells_start_at_their_reduced_optimum(monkeypatch):
         return res
 
     monkeypatch.setattr(sweep_module, "optimize", recording_optimize)
-    grid = GridSpec(x_min=-20.0, x_max=20.0, y_min=0.0, y_max=12.0, nx=9, ny=2)
+    grid = GridSpec(x_min_m=-20.0, x_max_m=20.0, y_min_m=0.0, y_max_m=12.0, nx=9, ny=2)
     res = sweep(default_scenario(n_subcarriers=3), grid)
     assert len(calls) == int((res.status == STATUS_OK).sum()) == 13
     assert all(call == (None, "gap", 0) for call in calls)
