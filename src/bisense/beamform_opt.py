@@ -18,7 +18,9 @@ block, mixed in by a line search along the chord.
 
 A narrowband scene on a symmetric grid needs no solver: its optimum lies on
 the outer subcarrier pair and is fixed by two variables on a disk
-(_reduced_start). optimize starts there, so the run is one certificate pass.
+(_reduced_start). optimize starts there, so the run is one certificate pass:
+one aggregate gradient, its block gradient, one projection and one eigvalsh,
+with neither the Hessian nor the uniform-beam infeasibility probe.
 """
 
 from __future__ import annotations
@@ -512,35 +514,37 @@ def optimize(
     the outer subcarrier pair (_outer_equal_split). A start with no power or
     a singular objective is replaced by the uniform beam.
 
-    Each iteration first checks the two certificates. If neither holds it
-    takes one step (see _FactoredBeam.step): a Newton step on the active
-    factored blocks, or a Frank-Wolfe step that can add a block or a rank.
-    Steps never raise the objective; a Newton step may leave it unchanged at
-    rounding level, at most MAX_FLAT_STEPS times in a row. The run ends on a
-    certificate, after options.max_iters accepted steps, or when no step
-    makes progress (exit_reason "stalled").
+    Each iteration first checks the two certificates. The first pass at the
+    exact start evaluates the aggregate gradient alone and prices the
+    Hessian only if a step is due; every other pass gets both from one
+    call. If neither certificate holds the iteration takes one step (see
+    _FactoredBeam.step): a Newton step on the active factored blocks, or a
+    Frank-Wolfe step that can add a block or a rank. Steps never raise the
+    objective; a Newton step may leave it unchanged at rounding level, at
+    most MAX_FLAT_STEPS times in a row. The run ends on a certificate, after
+    options.max_iters accepted steps, or when no step makes progress
+    (exit_reason "stalled").
 
     Raises:
-        InfeasibleScenario: every feasible choice of blocks is singular
-            (checked at the full-rank uniform point, which dominates the
-            feasible set up to scale).
+        InfeasibleScenario: the start and the full-rank uniform beam are both
+            singular. The uniform beam dominates the feasible set up to
+            scale, so where its information is singular every feasible
+            choice of blocks is singular too. It is scored only for a
+            singular start: a start with a finite SPEB is a feasible beam
+            that passes the condition guard (fisher.COND_LIMIT), which the
+            uniform beam may fail even then.
     """
     opts = options or OptOptions()
     kernel = _Kernel.build(scenario)
     budget = scenario.power_budget
 
-    uniform = BeamCovariance.uniform(scenario).blocks
-    if not np.isfinite(kernel.speb(uniform)):
-        raise InfeasibleScenario(
-            "position information is singular for every feasible beam choice"
-        )
-
+    exact_start = initial is None and _has_reduced_start(scenario)
     if initial is not None:
         # no projection: _FactoredBeam clamps the factor and scales it onto
         # the budget sphere
         check_beam_covariance(initial, scenario)
         blocks = initial.blocks
-    elif _has_reduced_start(scenario):
+    elif exact_start:
         blocks = _reduced_start(kernel, scenario)
     else:
         blocks = _outer_equal_split(scenario)
@@ -548,6 +552,11 @@ def optimize(
     has_power = np.trace(blocks, axis1=1, axis2=2).real.sum() > 0.0
     beam = _FactoredBeam(kernel, blocks) if has_power else None
     if beam is None or not np.isfinite(beam.f):
+        uniform = BeamCovariance.uniform(scenario).blocks
+        if not np.isfinite(kernel.speb(uniform)):
+            raise InfeasibleScenario(
+                "position information is singular for every feasible beam choice"
+            )
         beam = _FactoredBeam(kernel, uniform)
     trace = [beam.f]
 
@@ -565,7 +574,13 @@ def optimize(
     iters = 0
     flat = 0
     while True:
-        g, hess_agg = kernel._aggregate_hessian(beam.z, beam.agg_scale)
+        if exact_start and iters == 0:
+            # the exact start normally certifies here, so the Hessian waits
+            # until a step is due; a complex z rounds g as the Hessian's first
+            # row does, which keeps the certificates bit for bit
+            g, hess_agg = kernel._aggregate_gradient(beam.z.astype(complex)).real, None
+        else:
+            g, hess_agg = kernel._aggregate_hessian(beam.z, beam.agg_scale)
         grads = kernel.block_gradient(g)
         grad_norm = float(np.linalg.norm(grads))
         kkt_rel, gap_rel = residuals(beam.blocks, beam.f, grads, grad_norm)
@@ -578,6 +593,8 @@ def optimize(
         if iters >= opts.max_iters:
             exit_reason = "max_iters"
             break
+        if hess_agg is None:
+            hess_agg = kernel._aggregate_hessian(beam.z, beam.agg_scale)[1]
         f_before = beam.f
         if not beam.step(g, hess_agg, grads, gap_rel, newton=flat < MAX_FLAT_STEPS):
             exit_reason = "stalled"

@@ -141,6 +141,15 @@ class SweepResult:
         return 1.0 if n == 0 else float((self.status == STATUS_OK).sum() / n)
 
 
+def _at_target(scenario: Scenario, p_s: Position2D, gain: complex) -> Scenario:
+    """The scene with its target and gain replaced. Unlike dataclasses.replace
+    it skips Scenario.__post_init__: none of its checks reads either field,
+    so the map's scene, checked once, stays valid in every cell."""
+    cell = object.__new__(Scenario)
+    vars(cell).update(vars(scenario), p_s=p_s, gain=gain)
+    return cell
+
+
 def _cell_solve(
     scenario: Scenario,
     p_s: Position2D,
@@ -156,7 +165,7 @@ def _cell_solve(
     if _segment_distance(p_s, scenario.p_t, scenario.p_r) <= grid.baseline_halfwidth_m:
         return STATUS_SINGULAR, None
     gain = channel_gain(scenario.p_t, scenario.p_r, p_s, scenario.wavelength, rcs_coeff_m)
-    cell = dataclasses.replace(scenario, p_s=p_s, gain=complex(gain))
+    cell = _at_target(scenario, p_s, complex(gain))
     # optimize itself starts a scene with a reduced start at its optimum
     warm = None if _has_reduced_start(scenario) else _predict(run, scenario.power_budget)
     try:

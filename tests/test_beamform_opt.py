@@ -408,6 +408,50 @@ def test_infeasibility_probe_is_representative(rng):
         assert fisher.fim_entrywise(sc, bc).singular
 
 
+def singular_at(sc, blocks):
+    return not np.isfinite(_Kernel.build(sc).speb(blocks))
+
+
+def test_infeasibility_verdict_is_the_uniform_probe(rng):
+    """optimize raises InfeasibleScenario exactly where the uniform beam is
+    singular, on random scenes of either band mode (P = 1 among them) and on
+    default scenes 1e-4 to 1e-3 m from the baseline, although it scores the
+    uniform beam only when the start is singular."""
+    scenes = [random_scenario(rng, p_choices=(1, 2, 3, 5)) for _ in range(60)]
+    for x, y, narrowband in [
+        (-9.0, 1e-3, True), (-2.0, -3e-4, False), (0.0, 1e-4, True), (4.0, 0.0, True),
+        (8.5, -1e-3, False),
+    ]:
+        scenes.append(relocate(default_scenario(narrowband=narrowband), (x, y)))
+    verdicts = []
+    for sc in scenes:
+        try:
+            optimize(sc, OptOptions(max_iters=20))
+            raised = False
+        except InfeasibleScenario:
+            raised = True
+        verdicts.append((singular_at(sc, BeamCovariance.uniform(sc).blocks), raised))
+    assert all(singular == raised for singular, raised in verdicts)
+    assert {sc.narrowband for sc in scenes} == {True, False}
+    assert min(sc.n_subcarriers for sc in scenes) == 1
+    assert 0 < sum(raised for _, raised in verdicts) < len(verdicts)
+
+
+@pytest.mark.parametrize("n_rx, y", [(3, 3e-5), (1, 1e-2)])
+def test_a_start_that_passes_the_condition_guard_is_solved(n_rx, y):
+    """Closer to the baseline the uniform beam fails the condition guard
+    (fisher.COND_LIMIT) while the exact start, a feasible beam, passes it: the
+    scene is solved, not declared infeasible, and the run reports its own
+    exit. Before the uniform probe was limited to singular starts these
+    scenes raised InfeasibleScenario."""
+    sc = relocate(default_scenario(n_rx=n_rx), (-5.0, y))
+    assert singular_at(sc, BeamCovariance.uniform(sc).blocks)
+    assert not singular_at(sc, _reduced_start(_Kernel.build(sc), sc))
+    res = optimize(sc)
+    assert np.isfinite(res.speb) and res.exit_reason in EXIT_REASONS
+    assert np.all(np.diff(res.speb_trace) <= 0.0)
+
+
 def test_optimize_respects_iteration_cap():
     sc = default_scenario()
     start = BeamCovariance(blocks=_outer_equal_split(sc))
@@ -639,6 +683,48 @@ def test_cold_solve_takes_the_aggregate_gradient_once_per_pass(monkeypatch):
     assert calls["_aggregate_gradient"] == res.iterations + 1
 
 
+def count_kernel_calls(monkeypatch, names, log):
+    """Append the name of each call of the given _Kernel methods to log."""
+    for name in names:
+        original = getattr(_Kernel, name)
+
+        def counted(self, *args, _original=original, _name=name):
+            log.append(_name)
+            return _original(self, *args)
+
+        monkeypatch.setattr(_Kernel, name, counted)
+
+
+def test_exact_start_certifies_on_the_gradient_alone(monkeypatch):
+    """At the reduced start of the default scene the one pass of the loop is
+    a certificate pass: one aggregate gradient and no Hessian."""
+    log = []
+    count_kernel_calls(monkeypatch, ("_aggregate_gradient", "_aggregate_hessian"), log)
+    res = optimize(default_scenario())
+    assert (res.exit_reason, res.iterations) == ("gap", 0)
+    assert log == ["_aggregate_gradient"]
+
+
+def test_exact_start_prices_the_hessian_before_a_step(monkeypatch):
+    """A reduced start that cannot certify (zero tolerances) evaluates the
+    Hessian before its first step and still ends honestly."""
+    log = []
+    count_kernel_calls(monkeypatch, ("_aggregate_hessian",), log)
+    step = _FactoredBeam.step
+
+    def logged_step(self, *args, **kwargs):
+        log.append("step")
+        return step(self, *args, **kwargs)
+
+    monkeypatch.setattr(_FactoredBeam, "step", logged_step)
+    res = optimize(default_scenario(), OptOptions(gap_tol=0.0, grad_tol=0.0, max_iters=2))
+    assert log[:2] == ["_aggregate_hessian", "step"]
+    assert not res.converged
+    assert (res.exit_reason, res.iterations) in (("max_iters", 2), ("stalled", 0), ("stalled", 1))
+    assert len(res.speb_trace) == res.iterations + 1
+    assert np.all(np.diff(res.speb_trace) <= 0.0)
+
+
 @pytest.mark.parametrize("k", [4, 1])
 def test_quad_gives_the_coordinates_of_the_factor(rng, k):
     """y^T Q_j y are the coordinates of L L^H for the factor y, and _blocks
@@ -754,9 +840,10 @@ def test_single_transmit_element_scene():
     assert res.speb >= best * (1 - 2 * OptOptions().gap_tol)
 
 
-def test_warm_start_at_its_optimum_evaluates_the_objective_twice(monkeypatch):
-    """One evaluation probes the uniform beam for feasibility and one scores
-    the start, which also decides the fallback to the uniform start."""
+def test_warm_start_at_its_optimum_evaluates_the_objective_once(monkeypatch):
+    """The one evaluation scores the start. Its SPEB is finite, so the
+    uniform beam, the fallback start and the infeasibility probe, is never
+    scored."""
     sc = default_scenario()
     optimum = optimize(sc).beam
     calls = collections.Counter()
@@ -769,7 +856,7 @@ def test_warm_start_at_its_optimum_evaluates_the_objective_twice(monkeypatch):
     monkeypatch.setattr(_Kernel, "_speb_from_aggregates", counted)
     res = optimize(sc, initial=optimum)
     assert res.iterations == 0 and res.exit_reason == "gap"
-    assert calls["speb"] == 2
+    assert calls["speb"] == 1
 
 
 def test_zero_power_start_falls_back_to_uniform():

@@ -1,17 +1,20 @@
 """Map-layer tests: per-cell gain model, grid bookkeeping, status coding,
 mirror symmetry, deterministic outputs, and the role comparison."""
 
+import dataclasses
 import importlib
 import json
 
 import numpy as np
 import pytest
 
-from bisense.errors import DegenerateGeometry
+from bisense.errors import DegenerateGeometry, InfeasibleScenario
+from bisense.fisher import Scenario
 from bisense.geometry import SPEED_OF_LIGHT, Position2D
 from bisense.sweep import (
     GridSpec,
     STATUS_EXCLUDED,
+    STATUS_NO_CONVERGENCE,
     STATUS_OK,
     STATUS_SINGULAR,
     channel_gain,
@@ -341,3 +344,42 @@ def test_narrowband_cells_start_at_their_reduced_optimum(monkeypatch):
     res = sweep(default_scenario(n_subcarriers=3), grid)
     assert len(calls) == int((res.status == STATUS_OK).sum()) == 13
     assert all(call == (None, "gap", 0) for call in calls)
+
+
+def test_sweep_cells_skip_scene_validation(monkeypatch):
+    """A cell is the map's scene with its target and gain replaced, so the
+    checks of Scenario.__post_init__ do not run once per cell; the layers are
+    bitwise those of solving each cell as dataclasses.replace builds it."""
+    sc = default_scenario(n_subcarriers=3)
+    grid = GridSpec(x_min_m=-20.0, x_max_m=20.0, y_min_m=0.0, y_max_m=12.0, nx=9, ny=2)
+    checks = []
+    post_init = Scenario.__post_init__
+
+    def counted(self):
+        checks.append(self.p_s)
+        post_init(self)
+
+    monkeypatch.setattr(Scenario, "__post_init__", counted)
+    res = sweep(sc, grid)
+    assert len(checks) <= 1  # at most the map's own scene, not one per cell
+    monkeypatch.undo()
+
+    for i, y in enumerate(res.ys):
+        for j, x in enumerate(res.xs):
+            p_s = Position2D(float(x), float(y))
+            if min(np.hypot(x - q.x, y - q.y) for q in (sc.p_t, sc.p_r)) <= grid.exclusion_radius_m:
+                assert res.status[i, j] == STATUS_EXCLUDED
+                continue
+            gain = channel_gain(sc.p_t, sc.p_r, p_s, sc.wavelength)
+            try:
+                solved = optimize(dataclasses.replace(sc, p_s=p_s, gain=complex(gain)))
+            except InfeasibleScenario:
+                assert res.status[i, j] == STATUS_SINGULAR
+                continue
+            if y == 0.0 and sc.p_t.x <= x <= sc.p_r.x:  # the baseline strip
+                assert res.status[i, j] == STATUS_SINGULAR
+                continue
+            assert res.status[i, j] == (STATUS_OK if solved.converged else STATUS_NO_CONVERGENCE)
+            assert res.peb[i, j] == solved.peb
+            assert res.rank_one[i, j] == (max(solved.rank_profile) == 1)
+    assert int((res.status == STATUS_OK).sum()) == 13
